@@ -3,6 +3,7 @@ package flit
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
@@ -133,5 +134,14 @@ func TestPacketFlitsAreECCClean(t *testing.T) {
 				t.Fatalf("size %d seq %d: check %#x, want %#x", size, f.Seq, f.Check, got)
 			}
 		}
+	}
+}
+
+// TestFlitSize pins the packed layout: flits are copied through every
+// pipe, FIFO and shifter, so a field added or reordered carelessly shows
+// up here rather than as a silent slowdown.
+func TestFlitSize(t *testing.T) {
+	if got := unsafe.Sizeof(Flit{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(Flit{}) = %d, want 40", got)
 	}
 }

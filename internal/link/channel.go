@@ -111,9 +111,11 @@ const (
 // Channel is one direction of an inter-router (or PE-router) connection:
 // a flit wire forward, and credit + NACK wires backward.
 type Channel struct {
-	flits   *sim.Pipe[flit.Flit]
-	credits *sim.Pipe[Credit]
-	nacks   *sim.Pipe[NACK]
+	// The three wires live inline, not behind pointers, so a port's
+	// per-cycle handshake reads touch the channel's own cache lines.
+	flits   sim.Pipe[flit.Flit]
+	credits sim.Pipe[Credit]
+	nacks   sim.Pipe[NACK]
 
 	injector fault.Corruptor // nil for fault-free channels
 	// events/counters are the TRANSMITTER-side accounts, charged by Send
@@ -156,10 +158,7 @@ func (c *Channel) SetHandshakeFaults(rate float64, tmr bool, rng *sim.RNG) {
 // fault-free link (e.g. the PE-to-router channel, which the paper does
 // not inject faults into). events and counters must be non-nil.
 func NewChannel(k *sim.Kernel, injector fault.Corruptor, local bool, events *stats.Events, counters *fault.Counters) *Channel {
-	return &Channel{
-		flits:      sim.NewPipe[flit.Flit](k, FlitLatency),
-		credits:    sim.NewPipe[Credit](k, CreditLatency),
-		nacks:      sim.NewPipe[NACK](k, NACKLatency),
+	c := &Channel{
 		injector:   injector,
 		events:     events,
 		counters:   counters,
@@ -167,6 +166,10 @@ func NewChannel(k *sim.Kernel, injector fault.Corruptor, local bool, events *sta
 		rxCounters: counters,
 		local:      local,
 	}
+	c.flits.Init(k, FlitLatency)
+	c.credits.Init(k, CreditLatency)
+	c.nacks.Init(k, NACKLatency)
+	return c
 }
 
 // SetRxStats redirects the receiver-side accounting (credits sent, NACKs
@@ -235,8 +238,14 @@ func (c *Channel) SendNACK(vc uint8, kind NACKKind) {
 // fault injection: a faulted signal is masked by the TMR voter when
 // enabled, or lost otherwise.
 func (c *Channel) RecvNACKs() []NACK {
+	// The common case, no NACK visible, returns before touching the
+	// ring. Empty reads only consumer-side state, so unlike InFlight it
+	// is valid inside a parallel step.
+	if c.nacks.Empty() {
+		return nil
+	}
 	ns := c.nacks.PopAll()
-	if c.hsRate == 0 || len(ns) == 0 {
+	if c.hsRate == 0 {
 		return ns
 	}
 	kept := ns[:0]

@@ -540,3 +540,62 @@ func TestHBHCreditConservationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTransmitterRetainedBookkeeping: the transmitter's O(1) occupancy
+// and earliest-expiry answers must equal a walk over its shifters after
+// every cycle of a random multi-VC stream with link errors (NACK
+// drains), misroute-style recalls and VC abandonment.
+func TestTransmitterRetainedBookkeeping(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := sim.NewRNG(seed)
+		var k sim.Kernel
+		var ev stats.Events
+		ctr := fault.NewCounters()
+		ch := NewChannel(&k, fault.NewLinkInjector(0.2, 0.5, sim.NewRNG(seed+1)), false, &ev, ctr)
+		tx := NewTransmitter(ch, 3, 4, NACKWindow, &ev, ctr)
+		rx := NewReceiver(ch, 3, HBH, &ev, ctr)
+		ok, busy := true, 0
+		k.Register(sim.ActorFunc(func(c uint64) {
+			tx.BeginCycle(c)
+			tx.ExpireShifters(c)
+			switch r := rng.Intn(40); {
+			case r == 0:
+				tx.Recall(rng.Intn(3))
+			case r == 1:
+				tx.AbandonVC(rng.Intn(3), nil)
+			case !tx.TickReplay(c):
+				if vc := rng.Intn(3); tx.Credits(vc) > 0 {
+					tx.Send(flit.Flit{Type: flit.Body, PID: flit.PacketID(c)}, vc, c)
+				}
+			}
+			occ := 0
+			var exp uint64
+			has := false
+			for i := range tx.shifters {
+				occ += tx.shifters[i].Len()
+				if s, any := tx.shifters[i].OldestSent(); any && (!has || s+NACKWindow < exp) {
+					exp, has = s+NACKWindow, true
+				}
+			}
+			gotExp, gotHas := tx.EarliestExpiry()
+			if tx.ShifterOccupied() != occ || gotHas != has || gotExp != exp {
+				ok = false
+			}
+			if occ > 1 {
+				busy++
+			}
+		}))
+		k.Register(sim.ActorFunc(func(c uint64) {
+			data, _ := rx.ReceiveAll(c)
+			for _, f := range data {
+				rx.ReturnCredit(int(f.VC))
+			}
+		}))
+		k.Run(400)
+		// The stream must keep shifters busy throughout, not stall early.
+		return ok && ev.NACKs > 0 && busy > 200
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -25,6 +25,9 @@ type RetransBuffer struct {
 	ring  []retransEntry
 	head  int
 	count int
+	// oldest mirrors ring[head].sent while count > 0, so the per-cycle
+	// expiry check reads the buffer's own fields, not its ring.
+	oldest uint64
 	// scratch backs Drain's return value, reused across drains.
 	scratch []flit.Flit
 }
@@ -38,10 +41,18 @@ type retransEntry struct {
 // scheme needs exactly NACKWindow slots; the duplicate-buffer option of
 // §4.5 doubles that.
 func NewRetransBuffer(depth int) *RetransBuffer {
+	rb := new(RetransBuffer)
+	rb.init(depth)
+	return rb
+}
+
+// init prepares a zero RetransBuffer in place, for transmitters that
+// keep their shifters by value.
+func (rb *RetransBuffer) init(depth int) {
 	if depth < 1 {
 		panic("link: retransmission buffer depth must be >= 1")
 	}
-	return &RetransBuffer{
+	*rb = RetransBuffer{
 		depth:   depth,
 		ring:    make([]retransEntry, depth),
 		scratch: make([]flit.Flit, 0, depth),
@@ -66,6 +77,9 @@ func (rb *RetransBuffer) Capture(f flit.Flit, cycle uint64) {
 		panic(fmt.Sprintf("link: retransmission buffer overflow (depth %d)", rb.depth))
 	}
 	rb.ring[(rb.head+rb.count)%rb.depth] = retransEntry{f: f, sent: cycle}
+	if rb.count == 0 {
+		rb.oldest = cycle
+	}
 	rb.count++
 }
 
@@ -78,10 +92,11 @@ func (rb *RetransBuffer) Capture(f flit.Flit, cycle uint64) {
 // number of slots freed.
 func (rb *RetransBuffer) Expire(cycle uint64) int {
 	n := 0
-	for rb.count > 0 && cycle >= rb.ring[rb.head].sent+NACKWindow {
+	for rb.count > 0 && cycle >= rb.oldest+NACKWindow {
 		rb.head = (rb.head + 1) % rb.depth
 		rb.count--
 		n++
+		rb.oldest = rb.ring[rb.head].sent
 	}
 	return n
 }
@@ -93,7 +108,7 @@ func (rb *RetransBuffer) OldestSent() (cycle uint64, ok bool) {
 	if rb.count == 0 {
 		return 0, false
 	}
-	return rb.ring[rb.head].sent, true
+	return rb.oldest, true
 }
 
 // Drain removes and returns all retained flits, oldest first. The caller

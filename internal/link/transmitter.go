@@ -2,6 +2,7 @@ package link
 
 import (
 	"fmt"
+	"math"
 
 	"ftnoc/internal/ecc"
 	"ftnoc/internal/fault"
@@ -17,8 +18,16 @@ import (
 // Fig. 3 is the upstream input-VC buffer feeding this port; the router
 // owns it.
 type Transmitter struct {
-	ch       *Channel
-	shifters []*RetransBuffer
+	ch *Channel
+	// shifters are kept by value, contiguous per port. retained is their
+	// summed occupancy and expiry the earliest cycle at which any entry
+	// expires (oldest capture + NACKWindow; MaxUint64 when empty), so the
+	// per-cycle expiry and occupancy queries are O(1) when nothing can
+	// expire. Every capture and drain goes through capture / drain, which
+	// keep both exact.
+	shifters []RetransBuffer
+	retained int
+	expiry   uint64
 	credits  []int
 	// replay[replayHead:] is the pending replay queue; the backing array
 	// is recycled once it drains.
@@ -67,16 +76,47 @@ func NewTransmitter(ch *Channel, vcs, downstreamCap, shifterDepth int, events *s
 	}
 	t := &Transmitter{
 		ch:       ch,
-		shifters: make([]*RetransBuffer, vcs),
+		shifters: make([]RetransBuffer, vcs),
 		credits:  make([]int, vcs),
 		events:   events,
 		counters: counters,
+		expiry:   math.MaxUint64,
 	}
 	for i := range t.shifters {
-		t.shifters[i] = NewRetransBuffer(shifterDepth)
+		t.shifters[i].init(shifterDepth)
 		t.credits[i] = downstreamCap
 	}
 	return t
+}
+
+// capture stores a transmitted flit's clean copy in its VC's shifter.
+func (t *Transmitter) capture(vc int, f flit.Flit, cycle uint64) {
+	t.shifters[vc].Capture(f, cycle)
+	if e := cycle + NACKWindow; e < t.expiry {
+		t.expiry = e
+	}
+	t.retained++
+}
+
+// drain empties one VC's shifter (see RetransBuffer.Drain for the
+// aliasing rule on the result).
+func (t *Transmitter) drain(vc int) []flit.Flit {
+	out := t.shifters[vc].Drain()
+	if len(out) > 0 {
+		t.retained -= len(out)
+		t.refreshExpiry()
+	}
+	return out
+}
+
+// refreshExpiry recomputes the earliest expiry from the shifters.
+func (t *Transmitter) refreshExpiry() {
+	t.expiry = math.MaxUint64
+	for i := range t.shifters {
+		if sent, ok := t.shifters[i].OldestSent(); ok && sent+NACKWindow < t.expiry {
+			t.expiry = sent + NACKWindow
+		}
+	}
 }
 
 // BeginCycle ingests the cycle's incoming handshakes: credits replenish
@@ -96,7 +136,7 @@ func (t *Transmitter) BeginCycle(cycle uint64) []NACK {
 		if int(n.VC) >= len(t.shifters) {
 			continue // corrupted handshake naming a non-existent VC; drop
 		}
-		t.replay = append(t.replay, t.shifters[n.VC].Drain()...)
+		t.replay = append(t.replay, t.drain(int(n.VC))...)
 	}
 	for _, c := range t.ch.RecvCredits() {
 		if int(c.VC) < len(t.credits) {
@@ -111,9 +151,13 @@ func (t *Transmitter) BeginCycle(cycle uint64) []NACK {
 // misroute NACKs, whose Recall must see the full window — have been
 // processed, and before any send.
 func (t *Transmitter) ExpireShifters(cycle uint64) {
-	for _, sh := range t.shifters {
-		sh.Expire(cycle)
+	if cycle < t.expiry {
+		return
 	}
+	for i := range t.shifters {
+		t.retained -= t.shifters[i].Expire(cycle)
+	}
+	t.refreshExpiry()
 }
 
 // Credits returns the free downstream slots for a VC.
@@ -186,7 +230,7 @@ func (t *Transmitter) sendOnWire(f flit.Flit, cycle uint64) {
 			stored.Word = ecc.FlipDataBit(ecc.FlipDataBit(stored.Word, t.rbRNG.Intn(64)), (t.rbRNG.Intn(63)+17)%64)
 		}
 	}
-	t.shifters[vc].Capture(stored, cycle)
+	t.capture(vc, stored, cycle)
 	t.events.RetransWrites++
 	t.ch.Send(f)
 }
@@ -206,34 +250,24 @@ func (t *Transmitter) SendControl(f flit.Flit) {
 // router sleep with occupied shifters: no entry can expire — and no
 // link-error NACK for one can arrive — before that cycle.
 func (t *Transmitter) EarliestExpiry() (cycle uint64, ok bool) {
-	for _, sh := range t.shifters {
-		if sent, has := sh.OldestSent(); has {
-			if !ok || sent+NACKWindow < cycle {
-				cycle, ok = sent+NACKWindow, true
-			}
-		}
+	if t.retained == 0 {
+		return 0, false
 	}
-	return cycle, ok
+	return t.expiry, true
 }
 
 // ShifterOccupancy returns the summed occupancy and capacity of the
 // port's retransmission buffers, for the Fig. 9 utilization metric.
 func (t *Transmitter) ShifterOccupancy() (occupied, capacity int) {
-	for _, sh := range t.shifters {
-		occupied += sh.Len()
-		capacity += sh.Depth()
+	for i := range t.shifters {
+		capacity += t.shifters[i].Depth()
 	}
-	return occupied, capacity
+	return t.retained, capacity
 }
 
 // ShifterOccupied is the occupancy half of ShifterOccupancy without the
 // capacity walk, for per-cycle samplers that cache the fixed capacity.
-func (t *Transmitter) ShifterOccupied() (occupied int) {
-	for _, sh := range t.shifters {
-		occupied += sh.Len()
-	}
-	return occupied
-}
+func (t *Transmitter) ShifterOccupied() (occupied int) { return t.retained }
 
 // PendingReplay returns the number of queued replay flits (tests).
 func (t *Transmitter) PendingReplay() int { return len(t.replay) - t.replayHead }
@@ -249,8 +283,8 @@ func (t *Transmitter) EachRetained(fn func(flit.Flit)) {
 	for _, f := range t.replay[t.replayHead:] {
 		fn(f)
 	}
-	for _, sh := range t.shifters {
-		for _, f := range sh.Snapshot() {
+	for i := range t.shifters {
+		for _, f := range t.shifters[i].Snapshot() {
 			fn(f)
 		}
 	}
@@ -263,8 +297,8 @@ func (t *Transmitter) EachRetained(fn func(flit.Flit)) {
 // and every queued replay flit must name a real VC, or it could never be
 // resent. It returns a description of the first violation, or "".
 func (t *Transmitter) AuditRetrans(clock uint64) string {
-	for vc, sh := range t.shifters {
-		if sent, ok := sh.OldestSent(); ok && clock > sent+NACKWindow {
+	for vc := range t.shifters {
+		if sent, ok := t.shifters[vc].OldestSent(); ok && clock > sent+NACKWindow {
 			return fmt.Sprintf("vc %d: shifter entry sent at %d still present at %d (window %d)",
 				vc, sent, clock, NACKWindow)
 		}
@@ -288,7 +322,7 @@ func (t *Transmitter) AbandonVC(vc int, fn func(flit.Flit)) {
 	if vc < 0 || vc >= len(t.shifters) {
 		return
 	}
-	for _, f := range t.shifters[vc].Drain() {
+	for _, f := range t.drain(vc) {
 		if fn != nil {
 			fn(f)
 		}
@@ -316,7 +350,7 @@ func (t *Transmitter) AbandonVC(vc int, fn func(flit.Flit)) {
 // Serial use only.
 func (t *Transmitter) AbandonAll(fn func(flit.Flit)) {
 	for vc := range t.shifters {
-		for _, f := range t.shifters[vc].Drain() {
+		for _, f := range t.drain(vc) {
 			if fn != nil {
 				fn(f)
 			}
@@ -339,7 +373,7 @@ func (t *Transmitter) Recall(vc int) []flit.Flit {
 	if vc < 0 || vc >= len(t.shifters) {
 		return nil
 	}
-	drained := t.shifters[vc].Drain()
+	drained := t.drain(vc)
 	if len(drained) == 0 {
 		return nil
 	}

@@ -210,15 +210,14 @@ func (m *mortalityState) applyDeath(c uint64, ev deathEvent) bool {
 }
 
 // reconfigure rebuilds the routing epoch after a boundary: new up*/down*
-// orientation, flushed route memos, and rewritten candidate sets for
-// worms still waiting on the old epoch. Deterministic routing has nothing
-// to rebuild — its tables are topology-blind. Connectivity components
-// and the PE injection queues are refreshed under every routing function.
+// orientation and rewritten candidate sets for worms still waiting on
+// the old epoch. Deterministic routing has nothing to rebuild — its
+// tables are topology-blind. Connectivity components and the PE
+// injection queues are refreshed under every routing function.
 func (m *mortalityState) reconfigure(c uint64) {
 	if m.fa != nil {
 		m.fa.Rebuild()
 		for _, r := range m.n.routers {
-			r.FlushRouteCache()
 			r.RefreshWaitingRoutes()
 		}
 	}

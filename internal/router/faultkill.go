@@ -12,22 +12,6 @@ import (
 // deaths. Everything here runs serially, between kernel steps, at fault
 // boundaries — never from a concurrent tick.
 
-// FlushRouteCache invalidates the memoised routing tables. Required
-// after the fault-adaptive routing function rebuilds its distance
-// tables: the memos capture Route() results from the previous topology
-// epoch and would keep steering packets along the dead orientation.
-func (r *Router) FlushRouteCache() {
-	for i := range r.routeCache {
-		r.routeCache[i] = nil
-	}
-	for p := range r.neighborRoute {
-		cache := r.neighborRoute[p]
-		for i := range cache {
-			cache[i] = nil
-		}
-	}
-}
-
 // RefreshWaitingRoutes recomputes the candidate set of every VA-waiting
 // input VC from the (just rebuilt) routing function, so headers that
 // were computed under the previous topology epoch re-request along the

@@ -10,6 +10,7 @@ import (
 	"ftnoc/internal/fault"
 	"ftnoc/internal/flit"
 	"ftnoc/internal/link"
+	"ftnoc/internal/routing"
 	"ftnoc/internal/topology"
 	"ftnoc/internal/trace"
 )
@@ -58,10 +59,10 @@ type Router struct {
 	flatVCs []*inputVC
 
 	// arena backs the attached input VCs contiguously (struct-of-arrays
-	// locality: one router's whole VC state shares cache lines); fifos
-	// backs their buffers the same way. flatVCs/in[p].vcs point into it.
+	// locality: one router's whole VC state, FIFO headers included,
+	// shares cache lines; the FIFOs' flit storage is one arena too).
+	// flatVCs/in[p].vcs point into it.
 	arena []inputVC
-	fifos []link.FIFO
 
 	// Sparse fast path (Config.Sparse, <=64 input VCs): liveVCs is a
 	// conservative superset of the VCs that are not (idle AND empty).
@@ -86,14 +87,6 @@ type Router struct {
 	// walk's (saRR+j)%n requester sequence exactly.
 	saCand [topology.NumPorts][]int
 
-	// routeCache memoises the routing function per destination: routes
-	// are pure in (cur, dst) — link health is filtered later, in
-	// legalCandidates — so one computation serves the whole run.
-	// neighborRoute does the same for the §4.2 arrival-direction check,
-	// per upstream port.
-	routeCache    [][]topology.Port
-	neighborRoute [topology.NumPorts][][]topology.Port
-
 	// Per-cycle scratch buffers, reused across ticks; capacities are
 	// bounded by the port/VC counts so the steady state never allocates.
 	scratchLegal  []topology.Port
@@ -116,16 +109,14 @@ func New(cfg Config) *Router {
 	cfg.validate()
 	np := int(topology.NumPorts)
 	n := np * cfg.VCs
-	return &Router{
+	r := &Router{
 		cfg:           cfg,
 		id:            cfg.ID,
 		probeSeen:     make(map[probeKey]uint64),
 		flatVCs:       make([]*inputVC, n),
 		arena:         make([]inputVC, n),
-		fifos:         link.NewFIFOs(n, cfg.BufDepth),
 		sparse:        cfg.Sparse && n <= 64,
 		liveList:      make([]int, 0, n),
-		routeCache:    make([][]topology.Port, cfg.Topo.Nodes()),
 		scratchLegal:  make([]topology.Port, 0, np),
 		scratchBind:   make([]ac.Binding, 0, np*cfg.VCs),
 		scratchGrants: make([]ac.Grant, 0, np),
@@ -133,6 +124,10 @@ func New(cfg Config) *Router {
 		scratchKept:   make([]saRequest, 0, np),
 		scratchViol:   make([]ac.Violation, 0, np),
 	}
+	for i, q := range link.NewFIFOs(n, cfg.BufDepth) {
+		r.arena[i].buf = q
+	}
+	return r
 }
 
 // ID returns the router's node identifier.
@@ -146,7 +141,7 @@ func (r *Router) AttachInput(p topology.Port, rx *link.Receiver) {
 	for i := range vcs {
 		slot := int(p)*r.cfg.VCs + i
 		ivc := &r.arena[slot]
-		*ivc = inputVC{port: p, idx: i, flat: slot, buf: &r.fifos[slot]}
+		*ivc = inputVC{port: p, idx: i, flat: slot, buf: ivc.buf}
 		vcs[i] = ivc
 		r.flatVCs[slot] = ivc
 	}
@@ -383,7 +378,7 @@ func (r *Router) ingestData(cycle uint64, ip *inPort, f flit.Flit) {
 		// must match the route the previous node should have taken.
 		if up, ok := r.cfg.Topo.Neighbor(r.id, ip.port); ok {
 			dst := flit.DecodeHeader(f.Word).Dst
-			exp := r.cachedNeighborRoute(ip.port, up, dst)
+			exp := r.cfg.Route.Route(up, dst)
 			if len(exp) == 1 && exp[0] != ip.port.Opposite() {
 				ip.rx.ForceDrop(vc, cycle, link.NACKMisroute, uint64(f.PID), f.Seq)
 				return
@@ -487,10 +482,10 @@ func (r *Router) advanceVC(cycle uint64, ip *inPort, ivc *inputVC) {
 // packet by replacing the candidate set).
 func (r *Router) computeRoute(cycle uint64, ivc *inputVC) []topology.Port {
 	r.cfg.Events.RTComputes++
-	cands := r.cachedRoute(ivc.dst)
+	cands := r.cfg.Route.Route(r.id, ivc.dst)
 	if r.cfg.RTFault.Upset() {
 		r.cfg.Counters.AddInjected(fault.RTLogic)
-		cands = []topology.Port{topology.Port(r.cfg.RTFault.Pick(int(topology.NumPorts)))}
+		cands = routing.Only(topology.Port(r.cfg.RTFault.Pick(int(topology.NumPorts))))
 	}
 	if r.cfg.Bus.Enabled() {
 		var pid uint64
@@ -505,47 +500,6 @@ func (r *Router) computeRoute(cycle uint64, ivc *inputVC) []topology.Port {
 		})
 	}
 	return cands
-}
-
-// cachedRoute memoises Route(r.id, dst). The static routing functions
-// are pure in (cur, dst): link health is consulted in legalCandidates,
-// not here, so a cached candidate set stays valid across hard-fault
-// changes. The fault-adaptive function's tables DO change at hard-fault
-// boundaries; the reconfiguration controller calls FlushRouteCache on
-// every router after each table rebuild. Cached slices are shared
-// read-only — input VCs rebind candidates but never mutate them.
-func (r *Router) cachedRoute(dst flit.NodeID) []topology.Port {
-	if i := int(dst); i >= 0 && i < len(r.routeCache) {
-		if c := r.routeCache[i]; c != nil {
-			return c
-		}
-		c := r.cfg.Route.Route(r.id, dst)
-		r.routeCache[i] = c
-		return c
-	}
-	// A corrupted destination outside the node space (possible only in
-	// unprotected ablations): fall through uncached.
-	return r.cfg.Route.Route(r.id, dst)
-}
-
-// cachedNeighborRoute memoises Route(up, dst) for the arrival-direction
-// consistency check, keyed by the arrival port (which fixes up).
-func (r *Router) cachedNeighborRoute(p topology.Port, up, dst flit.NodeID) []topology.Port {
-	i := int(dst)
-	if i < 0 || i >= len(r.routeCache) {
-		return r.cfg.Route.Route(up, dst)
-	}
-	cache := r.neighborRoute[p]
-	if cache == nil {
-		cache = make([][]topology.Port, len(r.routeCache))
-		r.neighborRoute[p] = cache
-	}
-	if c := cache[i]; c != nil {
-		return c
-	}
-	c := r.cfg.Route.Route(up, dst)
-	cache[i] = c
-	return c
 }
 
 // legalCandidates filters the RT candidate set down to ports that the VC
@@ -632,7 +586,7 @@ func (r *Router) tryVA(cycle uint64, ivc *inputVC) {
 		// (§3.2.1): injected packets would consume the recovery slack.
 		return
 	}
-	if _, ok := ivc.front(); !ok {
+	if ivc.occupied() == 0 {
 		return
 	}
 	r.cfg.Events.VAAllocs++
@@ -944,12 +898,15 @@ func (r *Router) eligibleForSA(ivc *inputVC, p topology.Port, cycle uint64) bool
 	if ivc.outVC < 0 || ivc.outVC >= r.cfg.VCs {
 		return false // scenario-1 VA corruption left the packet stranded
 	}
-	f, ok := ivc.front()
-	if !ok {
+	if ivc.occupied() == 0 {
 		return false
 	}
-	if f.Type == flit.Head && cycle < ivc.earliestSA {
-		return false
+	// Only a header can be early for SA, so the front flit itself is
+	// read only inside its pipeline window.
+	if cycle < ivc.earliestSA {
+		if f, _ := ivc.front(); f.Type == flit.Head {
+			return false
+		}
 	}
 	if r.out[p].tx.Credits(ivc.outVC) <= 0 {
 		r.creditStalls++ // downstream backpressure is the only blocker

@@ -29,7 +29,9 @@ type inputVC struct {
 	// flat is this VC's index in the router's flattened (port, vc) order,
 	// precomputed for the sparse live-set bitmask.
 	flat int
-	buf  *link.FIFO
+	// buf is held inline so the per-cycle front/occupancy checks read the
+	// VC's own cache lines rather than chase a pointer.
+	buf link.FIFO
 
 	state      vcState
 	dst        flit.NodeID

@@ -25,9 +25,10 @@ import (
 //     edges, so cur ⇝ root ⇝ dst is always legal; the distance tables
 //     below find the shortest legal path, not just that fallback.
 //
-// Route consults precomputed per-destination distance tables; Rebuild
-// recomputes them from the live topology and must be called (serially —
-// Route is lock-free) whenever a hard fault changes the graph.
+// Route consults precomputed per-destination distance tables and a
+// snapshot of the live links; Rebuild recomputes both from the topology
+// and must be called (serially — Route is lock-free) whenever a hard
+// fault changes the graph.
 type FaultAdaptiveFunc struct {
 	t *topology.Topology
 	n int
@@ -38,6 +39,10 @@ type FaultAdaptiveFunc struct {
 	// (level[b], b) < (level[a], a).
 	level []int32
 	comp  []int32
+
+	// live[v*4+i] is v's neighbor through dirs[i] when that directed
+	// link is up, or -1: the live graph as of the last Rebuild.
+	live []int32
 
 	// down[dst*n+v] is the length of the shortest down-only path v→dst
 	// (infDist if none); updown[dst*n+v] the shortest legal up*/down*
@@ -57,6 +62,7 @@ func NewFaultAdaptiveFunc(t *topology.Topology) *FaultAdaptiveFunc {
 		t: t, n: n,
 		level:  make([]int32, n),
 		comp:   make([]int32, n),
+		live:   make([]int32, 4*n),
 		down:   make([]uint16, n*n),
 		updown: make([]uint16, n*n),
 	}
@@ -70,12 +76,38 @@ func (f *FaultAdaptiveFunc) Algorithm() Algorithm { return FaultAdaptive }
 // dirs is the deterministic neighbor iteration order.
 var dirs = [...]topology.Port{topology.North, topology.East, topology.South, topology.West}
 
+// dirSets interns every subset of dirs, in dirs order, keyed by the
+// bitmask of its members' dirs indices; the empty set is nil.
+var dirSets [1 << len(dirs)][]topology.Port
+
+func init() {
+	for mask := 1; mask < len(dirSets); mask++ {
+		var set []topology.Port
+		for i, d := range dirs {
+			if mask&(1<<i) != 0 {
+				set = append(set, d)
+			}
+		}
+		dirSets[mask] = set[:len(set):len(set)]
+	}
+}
+
 // Rebuild recomputes the BFS orientation and all per-destination
 // distance tables from the topology's current live links. O(n²) time
 // and called only at hard-fault boundaries (and construction), so the
 // cost is per death, not per cycle.
 func (f *FaultAdaptiveFunc) Rebuild() {
 	n := f.n
+	for v := 0; v < n; v++ {
+		id := flit.NodeID(v)
+		for i, d := range dirs {
+			live := int32(-1)
+			if nbr, ok := f.t.Neighbor(id, d); ok && f.t.LinkUp(id, d) {
+				live = int32(nbr)
+			}
+			f.live[v*len(dirs)+i] = live
+		}
+	}
 	for i := range f.level {
 		f.level[i] = -1
 		f.comp[i] = -1
@@ -91,8 +123,8 @@ func (f *FaultAdaptiveFunc) Rebuild() {
 		for len(queue) > 0 {
 			cur := queue[0]
 			queue = queue[1:]
-			for _, d := range dirs {
-				nbr, ok := f.liveNeighbor(cur, d)
+			for i := range dirs {
+				nbr, ok := f.liveNeighbor(cur, i)
 				if !ok || f.level[nbr] >= 0 {
 					continue
 				}
@@ -126,13 +158,11 @@ func (f *FaultAdaptiveFunc) before(a, b flit.NodeID) bool {
 	return a < b
 }
 
-// liveNeighbor returns cur's neighbor through d when the directed link
-// is up.
-func (f *FaultAdaptiveFunc) liveNeighbor(cur flit.NodeID, d topology.Port) (flit.NodeID, bool) {
-	if !f.t.LinkUp(cur, d) {
-		return 0, false
-	}
-	return f.t.Neighbor(cur, d)
+// liveNeighbor returns cur's neighbor through dirs[i] when the directed
+// link was up at the last Rebuild.
+func (f *FaultAdaptiveFunc) liveNeighbor(cur flit.NodeID, i int) (flit.NodeID, bool) {
+	nbr := f.live[int(cur)*len(dirs)+i]
+	return flit.NodeID(nbr), nbr >= 0
 }
 
 // buildDst fills the down and updown tables for one destination.
@@ -151,8 +181,8 @@ func (f *FaultAdaptiveFunc) buildDst(dst flit.NodeID, order, queue []flit.NodeID
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, d := range dirs {
-			nbr, ok := f.liveNeighbor(cur, d)
+		for i := range dirs {
+			nbr, ok := f.liveNeighbor(cur, i)
 			// The reverse of a down hop nbr→cur: nbr must precede cur.
 			if !ok || !f.before(nbr, cur) || down[nbr] != infDist {
 				continue
@@ -166,8 +196,8 @@ func (f *FaultAdaptiveFunc) buildDst(dst flit.NodeID, order, queue []flit.NodeID
 	// (level, id) order — so one pass in that order suffices.
 	for _, v := range order {
 		best := down[v]
-		for _, d := range dirs {
-			nbr, ok := f.liveNeighbor(v, d)
+		for i := range dirs {
+			nbr, ok := f.liveNeighbor(v, i)
 			if !ok || !f.before(nbr, v) {
 				continue
 			}
@@ -190,31 +220,32 @@ func (f *FaultAdaptiveFunc) Reachable(cur, dst flit.NodeID) bool {
 // it offers every up hop that shortens the legal distance. An
 // unreachable destination yields an empty set — the caller's signal to
 // declare the packet undeliverable rather than let it wait forever.
+// The result is an interned subset of dirs, in dirs order.
 func (f *FaultAdaptiveFunc) Route(cur, dst flit.NodeID) []topology.Port {
 	if cur == dst {
-		return []topology.Port{topology.Local}
+		return onePort[topology.Local]
 	}
 	down := f.down[int(dst)*f.n : (int(dst)+1)*f.n]
 	updown := f.updown[int(dst)*f.n : (int(dst)+1)*f.n]
 	if updown[cur] == infDist {
 		return nil
 	}
-	var ps []topology.Port
+	mask := 0
 	if dd := down[cur]; dd != infDist {
-		for _, d := range dirs {
-			nbr, ok := f.liveNeighbor(cur, d)
+		for i := range dirs {
+			nbr, ok := f.liveNeighbor(cur, i)
 			if ok && f.before(cur, nbr) && down[nbr] == dd-1 {
-				ps = append(ps, d)
+				mask |= 1 << i
 			}
 		}
-		return ps
+		return dirSets[mask]
 	}
 	ud := updown[cur]
-	for _, d := range dirs {
-		nbr, ok := f.liveNeighbor(cur, d)
+	for i := range dirs {
+		nbr, ok := f.liveNeighbor(cur, i)
 		if ok && f.before(nbr, cur) && updown[nbr] == ud-1 {
-			ps = append(ps, d)
+			mask |= 1 << i
 		}
 	}
-	return ps
+	return dirSets[mask]
 }

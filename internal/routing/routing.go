@@ -94,9 +94,79 @@ func (a Algorithm) Adaptive() bool { return a != XY }
 // dst. Implementations must return Local exactly when cur == dst, and must
 // never return a port without a physical link. Candidate order expresses
 // preference; the allocator tries earlier ports first.
+//
+// Route must not allocate: every candidate set is an interned,
+// package-level slice (see Only), shared read-only by all callers.
+// Callers may keep a returned slice for as long as they like but must
+// never write through it; its capacity equals its length, so an append
+// copies instead of clobbering the table.
 type Func interface {
 	Route(cur, dst flit.NodeID) []topology.Port
 	Algorithm() Algorithm
+}
+
+// none marks an absent port in the interned-set constructors.
+const none = topology.NumPorts
+
+// The interned candidate sets: every single port, and every ordered pair
+// of distinct ports (the turn models list the same two ports in either
+// order, so order is part of the key).
+var (
+	onePort  [topology.NumPorts][]topology.Port
+	portPair [topology.NumPorts][topology.NumPorts][]topology.Port
+)
+
+func init() {
+	for a := topology.Port(0); a < topology.NumPorts; a++ {
+		onePort[a] = []topology.Port{a}
+		for b := topology.Port(0); b < topology.NumPorts; b++ {
+			if a != b {
+				portPair[a][b] = []topology.Port{a, b}
+			}
+		}
+	}
+}
+
+// Only returns the interned candidate set {p}. p must be a valid port.
+func Only(p topology.Port) []topology.Port { return onePort[p] }
+
+// ports returns the interned set [a, b] with none entries left out; nil
+// when both are none.
+func ports(a, b topology.Port) []topology.Port {
+	switch {
+	case a == none && b == none:
+		return nil
+	case a == none:
+		return onePort[b]
+	case b == none:
+		return onePort[a]
+	default:
+		return portPair[a][b]
+	}
+}
+
+// horizontal and vertical map a signed offset to its productive
+// direction, or none when the offset is zero.
+func horizontal(dx int) topology.Port {
+	switch {
+	case dx > 0:
+		return topology.East
+	case dx < 0:
+		return topology.West
+	default:
+		return none
+	}
+}
+
+func vertical(dy int) topology.Port {
+	switch {
+	case dy > 0:
+		return topology.South
+	case dy < 0:
+		return topology.North
+	default:
+		return none
+	}
 }
 
 // New returns the routing function for algorithm a over topo.
@@ -144,18 +214,18 @@ func (f xyFunc) Algorithm() Algorithm { return XY }
 
 func (f xyFunc) Route(cur, dst flit.NodeID) []topology.Port {
 	if cur == dst {
-		return []topology.Port{topology.Local}
+		return onePort[topology.Local]
 	}
 	dx, dy := offsets(f.t, cur, dst)
 	switch {
 	case dx > 0:
-		return []topology.Port{topology.East}
+		return onePort[topology.East]
 	case dx < 0:
-		return []topology.Port{topology.West}
+		return onePort[topology.West]
 	case dy > 0:
-		return []topology.Port{topology.South}
+		return onePort[topology.South]
 	default:
-		return []topology.Port{topology.North}
+		return onePort[topology.North]
 	}
 }
 
@@ -165,21 +235,10 @@ func (f adaptiveFunc) Algorithm() Algorithm { return MinimalAdaptive }
 
 func (f adaptiveFunc) Route(cur, dst flit.NodeID) []topology.Port {
 	if cur == dst {
-		return []topology.Port{topology.Local}
+		return onePort[topology.Local]
 	}
 	dx, dy := offsets(f.t, cur, dst)
-	var ps []topology.Port
-	if dx > 0 {
-		ps = append(ps, topology.East)
-	} else if dx < 0 {
-		ps = append(ps, topology.West)
-	}
-	if dy > 0 {
-		ps = append(ps, topology.South)
-	} else if dy < 0 {
-		ps = append(ps, topology.North)
-	}
-	return ps
+	return ports(horizontal(dx), vertical(dy))
 }
 
 type westFirstFunc struct{ t *topology.Topology }
@@ -188,23 +247,14 @@ func (f westFirstFunc) Algorithm() Algorithm { return WestFirst }
 
 func (f westFirstFunc) Route(cur, dst flit.NodeID) []topology.Port {
 	if cur == dst {
-		return []topology.Port{topology.Local}
+		return onePort[topology.Local]
 	}
 	dx, dy := offsets(f.t, cur, dst)
 	if dx < 0 {
 		// All westward movement first, no adaptivity.
-		return []topology.Port{topology.West}
+		return onePort[topology.West]
 	}
-	var ps []topology.Port
-	if dx > 0 {
-		ps = append(ps, topology.East)
-	}
-	if dy > 0 {
-		ps = append(ps, topology.South)
-	} else if dy < 0 {
-		ps = append(ps, topology.North)
-	}
-	return ps
+	return ports(horizontal(dx), vertical(dy))
 }
 
 type oddEvenFunc struct{ t *topology.Topology }
@@ -217,47 +267,30 @@ func (f oddEvenFunc) Algorithm() Algorithm { return OddEven }
 // applying the column-parity rules yields the classic formulation below.
 func (f oddEvenFunc) Route(cur, dst flit.NodeID) []topology.Port {
 	if cur == dst {
-		return []topology.Port{topology.Local}
+		return onePort[topology.Local]
 	}
 	cc := f.t.CoordOf(cur)
 	dc := f.t.CoordOf(dst)
 	dx, dy := offsets(f.t, cur, dst)
-	var ps []topology.Port
 	if dx == 0 {
 		if dy > 0 {
-			ps = append(ps, topology.South)
-		} else {
-			ps = append(ps, topology.North)
+			return onePort[topology.South]
 		}
-		return ps
+		return onePort[topology.North]
 	}
 	if dx > 0 { // eastbound
-		if dy == 0 {
-			ps = append(ps, topology.East)
-			return ps
-		}
 		// EN/ES turns are forbidden in even columns, so only allow the
 		// vertical move when the current column is odd, or when the
 		// packet is one column west of the destination (last chance).
 		if cc.X%2 == 1 || cc.X == dc.X-1 {
-			if dy > 0 {
-				ps = append(ps, topology.South)
-			} else {
-				ps = append(ps, topology.North)
-			}
+			return ports(vertical(dy), topology.East)
 		}
-		ps = append(ps, topology.East)
-		return ps
+		return onePort[topology.East]
 	}
 	// westbound: NW/SW turns are forbidden in odd columns — take the
 	// vertical move only in even columns; West is always available.
-	if dy != 0 && cc.X%2 == 0 {
-		if dy > 0 {
-			ps = append(ps, topology.South)
-		} else {
-			ps = append(ps, topology.North)
-		}
+	if cc.X%2 == 0 {
+		return ports(vertical(dy), topology.West)
 	}
-	ps = append(ps, topology.West)
-	return ps
+	return onePort[topology.West]
 }

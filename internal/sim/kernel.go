@@ -370,20 +370,6 @@ func (k *Kernel) StopWorkers() {
 // Mode returns the selected scheduler.
 func (k *Kernel) Mode() Mode { return k.mode }
 
-// SetNaive toggles the tick-every-actor fallback kernel, equivalent to
-// SetMode(ModeNaive) / SetMode(ModeQuiescent). Kept for callers predating
-// the mode API.
-func (k *Kernel) SetNaive(naive bool) {
-	if naive {
-		k.mode = ModeNaive
-	} else {
-		k.mode = ModeQuiescent
-	}
-}
-
-// Naive reports whether actor skipping is disabled.
-func (k *Kernel) Naive() bool { return k.mode == ModeNaive }
-
 // Stats returns the kernel's cumulative scheduling telemetry. Under
 // ModeParallel the top-level Ticked/Skipped fold in every worker's
 // share and Workers carries the per-worker breakdown. Call only between

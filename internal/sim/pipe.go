@@ -26,6 +26,10 @@ type Pipe[T any] struct {
 	bufs [][]T
 	vis  int
 	off  int
+	// inline holds the buffer headers of short pipes (every wire in the
+	// simulator), so reaching the visible or staging buffer does not
+	// chase a pointer out of the pipe.
+	inline [3][]T
 	// pushed and popped count values ever enqueued and ever consumed;
 	// their difference is the number of unconsumed values anywhere in the
 	// ring (staged, in-flight, and visible-but-unpopped). They are split
@@ -52,15 +56,24 @@ type Pipe[T any] struct {
 // NewPipe creates a delay line with the given latency (>= 1) and registers
 // it with the kernel for end-of-cycle latching.
 func NewPipe[T any](k *Kernel, latency int) *Pipe[T] {
+	p := new(Pipe[T])
+	p.Init(k, latency)
+	return p
+}
+
+// Init prepares a zero Pipe in place, like NewPipe, so a pipe can be
+// embedded by value in the structure that owns it. The pipe must not be
+// copied afterwards: the kernel's active-latch list holds its address.
+func (p *Pipe[T]) Init(k *Kernel, latency int) {
 	if latency < 1 {
 		panic("sim: pipe latency must be >= 1")
 	}
-	p := &Pipe[T]{
-		k:       k,
-		latency: latency,
-		bufs:    make([][]T, latency+1),
+	*p = Pipe[T]{k: k, latency: latency}
+	if latency < len(p.inline) {
+		p.bufs = p.inline[:latency+1]
+	} else {
+		p.bufs = make([][]T, latency+1)
 	}
-	return p
 }
 
 // SetWake installs the delivery callback: it runs at the end of any cycle
@@ -193,21 +206,20 @@ func (p *Pipe[T]) Filter(remove func(T) bool, fn func(T)) int {
 func (p *Pipe[T]) latch() bool {
 	// Undelivered visible values remain visible (the new visible buffer
 	// accumulates them at its front), so a consumer that stalls does not
-	// lose data.
-	carryFrom := p.bufs[p.vis][p.off:]
+	// lose data. The carry moves to the front of the drained visible
+	// buffer, the next stage's values are appended behind it, and the two
+	// buffers trade places: once both have grown to size, carrying costs
+	// no allocation. With nothing consumed and nothing arriving (a
+	// quiescent consumer letting credits/NACKs pool) the trade is a swap,
+	// with no copy however long the consumer sleeps.
+	cur := p.bufs[p.vis]
 	next := (p.vis + 1) % len(p.bufs)
-	if len(carryFrom) > 0 {
-		if p.off == 0 && len(p.bufs[next]) == 0 {
-			// Nothing arriving and nothing consumed (a quiescent consumer
-			// letting credits/NACKs pool): carry by swapping buffers, no
-			// copy, no allocation, however long the consumer sleeps.
-			p.bufs[next], p.bufs[p.vis] = p.bufs[p.vis], p.bufs[next]
-		} else {
-			merged := make([]T, 0, len(carryFrom)+len(p.bufs[next]))
-			merged = append(merged, carryFrom...)
-			merged = append(merged, p.bufs[next]...)
-			p.bufs[next] = merged
+	if p.off < len(cur) {
+		n := len(cur) - p.off
+		if p.off > 0 {
+			copy(cur, cur[p.off:])
 		}
+		p.bufs[p.vis], p.bufs[next] = p.bufs[next], append(cur[:n], p.bufs[next]...)
 	}
 	p.bufs[p.vis] = p.bufs[p.vis][:0]
 	p.vis = next

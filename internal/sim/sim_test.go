@@ -501,3 +501,48 @@ func TestEventKernelMatchesQuiescent(t *testing.T) {
 		}
 	}
 }
+
+// TestPipePartialConsumerIsAllocationFree: a consumer that pops only part
+// of what is visible leaves a carry that every latch merges with the
+// arriving values. Once the ring's buffers have grown to size that merge
+// must cost no allocation, and FIFO order must hold throughout.
+func TestPipePartialConsumerIsAllocationFree(t *testing.T) {
+	for _, lat := range []int{1, 2} {
+		var k Kernel
+		p := NewPipe[int](&k, lat)
+		next, want := 0, 0
+		push := func(n int) {
+			for i := 0; i < n; i++ {
+				p.Push(next)
+				next++
+			}
+		}
+		// A standing backlog: lat+2 cycles of pushes, nothing popped.
+		for i := 0; i < lat+2; i++ {
+			push(3)
+			k.Step()
+		}
+		// Steady state: three values arrive and three are popped each
+		// cycle, out of a visible window twice that size.
+		steady := func() {
+			push(3)
+			for i := 0; i < 3; i++ {
+				v, ok := p.Pop()
+				if !ok || v != want {
+					t.Fatalf("latency %d: popped (%d,%v), want (%d,true)", lat, v, ok, want)
+				}
+				want++
+			}
+			if p.Empty() {
+				t.Fatalf("latency %d: consumer drained the pipe; no carry exercised", lat)
+			}
+			k.Step()
+		}
+		for i := 0; i < 4; i++ {
+			steady()
+		}
+		if allocs := testing.AllocsPerRun(100, steady); allocs != 0 {
+			t.Errorf("latency %d: %.1f allocs per cycle with a carry, want 0", lat, allocs)
+		}
+	}
+}
