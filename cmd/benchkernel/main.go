@@ -1,6 +1,6 @@
 // Command benchkernel is the kernel performance harness behind
-// scripts/bench.sh. It times the Fig 5/6 quick workloads under every
-// scheduler (naive, quiescent, event, parallel) and (optionally) a
+// scripts/bench.sh. It times the Fig 5/6 quick workloads under both
+// schedulers (naive and event) and (optionally) a
 // baseline git revision's nocsim binary, runs the kernel
 // microbenchmarks, and writes the combined measurements to
 // BENCH_kernel.json — the file that seeds the repo's perf trajectory.
@@ -43,9 +43,8 @@ type workload struct {
 // bites: the error-handling machinery is nearly idle and scheduler +
 // allocator overhead dominates. The 0.10-injection variant covers the
 // low-load end of the paper's 0.1–0.4 operating range, where quiescence
-// itself pays the most. The 16x16 large-mesh row is the parallel
-// kernel's home turf: 512 actors per cycle give the row bands enough
-// work to amortise the per-cycle barrier.
+// itself pays the most. The 16x16 large-mesh row is a saturated mesh of
+// 512 actors, where router allocation rather than scheduling dominates.
 func workloads() []workload {
 	quick := func() ftnoc.Config {
 		cfg := ftnoc.NewConfig()
@@ -80,7 +79,6 @@ type measurement struct {
 	CyclesPerSec   float64 `json:"cycles_per_sec"`
 	SkippedRatio   float64 `json:"skipped_ratio,omitempty"`
 	Events         uint64  `json:"events_dispatched,omitempty"`
-	Workers        int     `json:"workers,omitempty"`
 	SpeedupVsNaive float64 `json:"speedup_vs_naive,omitempty"`
 }
 
@@ -102,15 +100,15 @@ type benchResult struct {
 	Metrics map[string]float64 `json:"metrics"` // unit -> value (ns/op, allocs/op, ...)
 }
 
-// report is the BENCH_kernel.json schema. GOMAXPROCS qualifies every
-// parallel-kernel number: on a 1-CPU host the parallel workers
-// timeshare one core and the speedup column measures barrier overhead,
-// not scaling.
+// report is the BENCH_kernel.json schema, stamped with GOMAXPROCS and
+// the host's CPU count so numbers from different machines are not
+// compared blind.
 type report struct {
 	GoVersion   string           `json:"go_version"`
 	GOOS        string           `json:"goos"`
 	GOARCH      string           `json:"goarch"`
 	GOMAXPROCS  int              `json:"gomaxprocs"`
+	NumCPU      int              `json:"num_cpu"`
 	BaselineRef string           `json:"baseline_ref,omitempty"`
 	Workloads   []workloadResult `json:"workloads"`
 	Microbench  []benchResult    `json:"microbench"`
@@ -121,12 +119,11 @@ func main() {
 	baseline := flag.String("baseline", "", "git ref to build and time as the baseline (empty: skip)")
 	reps := flag.Int("reps", 3, "timed repetitions per workload (best run is reported)")
 	benchtime := flag.String("benchtime", "2s", "go test -benchtime for the microbenchmarks")
-	kernelWorkers := flag.Int("kernel-workers", 0, "parallel-kernel worker goroutines (0 = GOMAXPROCS, clamped to mesh height)")
 	flag.Parse()
 
 	rep := report{
 		GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
 	}
 
 	var baseBin string
@@ -149,9 +146,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchkernel: %s\n", w.name)
 		r := workloadResult{Name: w.name, Kernels: map[string]measurement{}}
 		for _, k := range ftnoc.KernelKinds() {
-			cfg := w.cfg
-			cfg.KernelWorkers = *kernelWorkers
-			m, cycles := timeInProcess(cfg, k, *reps)
+			m, cycles := timeInProcess(w.cfg, k, *reps)
 			r.Cycles = cycles
 			if naive := r.Kernels[ftnoc.KernelNaive.String()]; naive.WallMS > 0 {
 				m.SpeedupVsNaive = round3(m.CyclesPerSec / naive.CyclesPerSec)
@@ -212,7 +207,6 @@ func timeInProcess(cfg ftnoc.Config, kind ftnoc.KernelKind, reps int) (measureme
 			WallMS:       round3(float64(wall.Microseconds()) / 1e3),
 			CyclesPerSec: round3(float64(res.Cycles) / wall.Seconds()),
 			Events:       ks.Events,
-			Workers:      len(ks.Workers),
 		}
 		if total := ks.Ticked + ks.Skipped; total > 0 {
 			m.SkippedRatio = round3(float64(ks.Skipped) / float64(total))

@@ -135,15 +135,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		pmux := http.NewServeMux()
-		pmux.HandleFunc("/debug/pprof/", pprof.Index)
-		pmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		pmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		pmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		pmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		ps := newPprofServer()
 		logger.Info("pprof listening", "addr", pln.Addr().String())
 		go func() {
-			if err := http.Serve(pln, pmux); err != nil {
+			if err := ps.Serve(pln); err != nil {
 				logger.Error("pprof server", "err", err)
 			}
 		}()
@@ -173,7 +168,7 @@ func main() {
 		go worker.RegisterLoop(regCtx, self)
 	}
 
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -208,6 +203,27 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nocd:", err)
 	}
 	fmt.Fprintln(os.Stderr, "nocd: bye")
+}
+
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so a slow or stalled client cannot hold a connection
+// open indefinitely. It applies to the service and pprof listeners alike.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer wraps a handler in the daemon's http.Server settings.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
+// newPprofServer builds the profiling server on its own mux.
+func newPprofServer() *http.Server {
+	pmux := http.NewServeMux()
+	pmux.HandleFunc("/debug/pprof/", pprof.Index)
+	pmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	pmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	pmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	pmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return newHTTPServer(pmux)
 }
 
 // reachableHostPort turns a bound listen address into one another

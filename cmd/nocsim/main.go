@@ -45,7 +45,7 @@ func main() {
 	noRecovery := flag.Bool("no-recovery", false, "disable deadlock recovery")
 	duplicate := flag.Bool("duplicate-retrans", false, "duplicate retransmission buffers (section 4.5)")
 	messages := flag.Uint64("messages", cfg.TotalMessages, "messages to eject (incl. warm-up)")
-	warmup := flag.Uint64("warmup", cfg.WarmupMessages, "warm-up messages to discard")
+	warmup := flag.Uint64("warmup", 0, "warm-up messages to discard (default a quarter of -messages)")
 	seed := flag.Uint64("seed", cfg.Seed, "simulation seed")
 	paperScale := flag.Bool("paper-scale", false, "use the paper's 300k-message runs")
 	heatmap := flag.Bool("heatmap", false, "print a per-router buffer-utilization floorplan")
@@ -54,8 +54,7 @@ func main() {
 	eventsOut := flag.String("events-out", "", "stream structured events to an NDJSON file")
 	metricsOut := flag.String("metrics-out", "", "stream sampled per-router metrics to an NDJSON file")
 	metricsEvery := flag.Uint64("metrics-every", 100, "metrics sampling interval in cycles")
-	kernelName := flag.String("kernel", "event", "simulation scheduler: naive, quiescent, event or parallel; results are identical, only speed differs")
-	kernelWorkers := flag.Int("kernel-workers", 0, "with -kernel parallel, worker goroutines (0 = GOMAXPROCS, clamped to mesh height)")
+	kernelName := flag.String("kernel", "event", "simulation scheduler: naive or event; results are identical, only speed differs")
 	check := flag.Bool("check", false, "run the runtime invariant checker alongside the simulation; exit non-zero on any violation")
 	checkEvery := flag.Uint64("check-every", 1, "with -check, audit network state every N cycles (1 = every cycle)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -77,7 +76,7 @@ func main() {
 	cfg.RecoveryEnabled = !*noRecovery
 	cfg.DuplicateRetrans = *duplicate
 	cfg.TotalMessages = *messages
-	cfg.WarmupMessages = *warmup
+	cfg.WarmupMessages = warmupMessages(flag.CommandLine, *messages, *warmup)
 	cfg.Seed = *seed
 	cfg.Faults.Link = *linkErr
 	cfg.Faults.RT = *rtErr
@@ -199,7 +198,6 @@ func main() {
 	if cfg.Kernel, err = ftnoc.ParseKernel(*kernelName); err != nil {
 		fatal(err)
 	}
-	cfg.KernelWorkers = *kernelWorkers
 	var chk *ftnoc.InvariantChecker
 	if *check {
 		chk = ftnoc.NewInvariantChecker(ftnoc.InvariantConfig{Every: *checkEvery})
@@ -324,11 +322,20 @@ func kernelSummary(net *ftnoc.Network, kind ftnoc.KernelKind, cycles uint64, wal
 	if ks.Events > 0 {
 		s += fmt.Sprintf(", %d events dispatched", ks.Events)
 	}
-	for i, w := range ks.Workers {
-		s += fmt.Sprintf("\n                worker %d: %d ticked, %d skipped, barrier wait %v",
-			i, w.Ticked, w.Skipped, time.Duration(w.BarrierWaitNs).Round(time.Microsecond))
-	}
 	return s
+}
+
+// warmupMessages resolves the warm-up count: the -warmup value when the
+// flag was given, else a quarter of -messages. That is sweep's rule and
+// the ratio of the NewConfig 2,000/8,000 defaults, so a short run such as
+// -messages 200 is valid without also passing -warmup.
+func warmupMessages(fs *flag.FlagSet, messages, warmup uint64) uint64 {
+	explicit := false
+	fs.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "warmup" })
+	if explicit {
+		return warmup
+	}
+	return messages / 4
 }
 
 // parsePIDs parses the -trace flag: a comma-separated packet ID list.

@@ -23,7 +23,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"ftnoc"
 	"ftnoc/internal/campaign"
@@ -38,7 +37,7 @@ func main() {
 	width := flag.Int("width", cfg.Width, "mesh width")
 	height := flag.Int("height", cfg.Height, "mesh height")
 	vcs := flag.Int("vcs", cfg.VCs, "virtual channels per PC")
-	routingName := flag.String("routing", "xy", "routing algorithm: xy, adaptive, westfirst, oddeven, fault-adaptive")
+	routingName := flag.String("routing", "xy", "routing algorithm: xy, adaptive, west-first, odd-even, fault-adaptive")
 	patternName := flag.String("pattern", "NR", "traffic pattern: NR, BC, TN, TP, SH, HS")
 	protName := flag.String("protection", "hbh", "link protection: hbh, e2e, fec")
 	linkErr := flag.Float64("link-errors", 0, "link error rate")
@@ -47,8 +46,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "base simulation seed")
 	seeds := flag.Int("seeds", 1, "replicates per point (distinct derived seeds; metrics print mean ± 95% CI)")
 	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	kernelName := flag.String("kernel", "event", "simulation scheduler: naive, quiescent, event or parallel; results are identical, only speed differs")
-	kernelWorkers := flag.Int("kernel-workers", 0, "with -kernel parallel, worker goroutines per simulation (0 = GOMAXPROCS, clamped to mesh height)")
+	kernelName := flag.String("kernel", "event", "simulation scheduler: naive or event; results are identical, only speed differs")
 	check := flag.Bool("check", false, "run the invariant checker inside every replicate; violations fail the replicate")
 	csvOut := flag.String("csv", "", "also write the full result table to this CSV file")
 	ndjsonOut := flag.String("ndjson", "", "also write the per-replicate result table to this NDJSON file")
@@ -87,7 +85,6 @@ func main() {
 	if cfg.Kernel, err = ftnoc.ParseKernel(*kernelName); err != nil {
 		fatal(err)
 	}
-	cfg.KernelWorkers = *kernelWorkers
 
 	cfg.Width, cfg.Height = *width, *height
 	cfg.VCs = *vcs
@@ -212,7 +209,6 @@ func main() {
 // naive schedule, and calendar events dispatched (event kernel only).
 func kernelSummary(report *campaign.Report) string {
 	var cycles, ticked, skipped, events uint64
-	var workers []ftnoc.KernelWorkerStats
 	for _, p := range report.Points {
 		for _, rr := range p.Reps {
 			if rr.Err != nil || rr.Seed == 0 {
@@ -222,14 +218,6 @@ func kernelSummary(report *campaign.Report) string {
 			ticked += rr.KernelTicked
 			skipped += rr.KernelSkipped
 			events += rr.KernelEvents
-			for i, w := range rr.KernelWorkers {
-				if i >= len(workers) {
-					workers = append(workers, ftnoc.KernelWorkerStats{})
-				}
-				workers[i].Ticked += w.Ticked
-				workers[i].Skipped += w.Skipped
-				workers[i].BarrierWaitNs += w.BarrierWaitNs
-			}
 		}
 	}
 	rate := "n/a"
@@ -243,10 +231,6 @@ func kernelSummary(report *campaign.Report) string {
 		rate, 100*float64(skipped)/float64(ticked+skipped))
 	if events > 0 {
 		s += fmt.Sprintf(", %d events dispatched", events)
-	}
-	for i, w := range workers {
-		s += fmt.Sprintf("\nsweep: kernel: sim worker %d: %d ticked, %d skipped, barrier wait %v",
-			i, w.Ticked, w.Skipped, time.Duration(w.BarrierWaitNs).Round(time.Microsecond))
 	}
 	return s
 }

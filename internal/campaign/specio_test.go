@@ -60,19 +60,26 @@ func TestParseSpec(t *testing.T) {
 }
 
 func TestParseSpecErrors(t *testing.T) {
-	cases := map[string]string{
-		"unknown top-level field": `{"bogus": 1}`,
-		"unknown base field":      `{"base": {"Bogus": 1}}`,
-		"unknown routing":         `{"routings": ["zigzag"]}`,
-		"unknown pattern":         `{"patterns": ["XX"]}`,
-		"unknown protection":      `{"protections": ["tmr"]}`,
-		"unknown topology":        `{"topologies": ["ring"]}`,
-		"bad size string":         `{"sizes": ["4by4"]}`,
-		"unknown size field":      `{"sizes": [{"width": 4, "depth": 4}]}`,
+	// want is a fragment the error must carry, naming what was wrong.
+	cases := map[string]struct{ doc, want string }{
+		"unknown top-level field": {`{"bogus": 1}`, "bogus"},
+		"unknown base field":      {`{"base": {"Bogus": 1}}`, "Bogus"},
+		"unknown routing":         {`{"routings": ["zigzag"]}`, "zigzag"},
+		"unknown pattern":         {`{"patterns": ["XX"]}`, "XX"},
+		"unknown protection":      {`{"protections": ["tmr"]}`, "tmr"},
+		"unknown topology":        {`{"topologies": ["ring"]}`, "ring"},
+		"bad size string":         {`{"sizes": ["4by4"]}`, "4by4"},
+		"unknown size field":      {`{"sizes": [{"width": 4, "depth": 4}]}`, "depth"},
+		// Removed kernel settings fail loudly rather than being ignored.
+		"removed kernel":       {`{"kernel": "parallel"}`, "parallel"},
+		"removed worker field": {`{"kernel": "event", "kernel_workers": 2}`, "kernel_workers"},
 	}
-	for name, doc := range cases {
-		if _, err := ParseSpec([]byte(doc)); err == nil {
-			t.Errorf("%s: ParseSpec accepted %s", name, doc)
+	for name, tc := range cases {
+		_, err := ParseSpec([]byte(tc.doc))
+		if err == nil {
+			t.Errorf("%s: ParseSpec accepted %s", name, tc.doc)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %q", name, err, tc.want)
 		}
 	}
 	// An empty document is a valid single-point spec over the defaults.

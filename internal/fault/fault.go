@@ -11,6 +11,7 @@ package fault
 
 import (
 	"fmt"
+	"maps"
 
 	"ftnoc/internal/ecc"
 	"ftnoc/internal/flit"
@@ -326,23 +327,17 @@ type Counters struct {
 	Observer func(op CounterOp, cl Class) `json:"-"`
 }
 
-// Merge folds o's counts into c. Observers are left untouched. The
-// network keeps one counter shard per actor under the parallel kernel
-// and merges them into a single record when results are read; merging is
-// exact because every count is attributed to exactly one shard.
-func (c *Counters) Merge(o *Counters) {
-	for cl, v := range o.Injected {
-		c.Injected[cl] += v
+// Clone returns a deep copy of c's counts with no Observer, so the copy
+// compares with reflect.DeepEqual and later counting does not reach it.
+func (c *Counters) Clone() *Counters {
+	return &Counters{
+		Injected:        maps.Clone(c.Injected),
+		Corrected:       maps.Clone(c.Corrected),
+		Undetected:      maps.Clone(c.Undetected),
+		Retransmissions: c.Retransmissions,
+		NACKs:           c.NACKs,
+		DroppedFlits:    c.DroppedFlits,
 	}
-	for cl, v := range o.Corrected {
-		c.Corrected[cl] += v
-	}
-	for cl, v := range o.Undetected {
-		c.Undetected[cl] += v
-	}
-	c.Retransmissions += o.Retransmissions
-	c.NACKs += o.NACKs
-	c.DroppedFlits += o.DroppedFlits
 }
 
 // NewCounters returns an empty counter set.

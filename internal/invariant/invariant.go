@@ -116,10 +116,11 @@ type pidState struct {
 type Checker struct {
 	cfg Config
 
-	// mu guards Report: most reporters run serially at cycle boundaries,
-	// but the ECC verifier hook fires inside receiver ticks, which the
-	// parallel kernel runs on concurrent workers. Violations are rare, so
-	// the lock is uncontended in healthy runs.
+	// mu guards Report, the one entry point callers may share across
+	// goroutines. Every reporter in the simulator runs on the simulation
+	// goroutine (at cycle boundaries, or from the ECC verifier hook inside
+	// receiver ticks), and violations are rare, so the lock is
+	// uncontended.
 	mu         sync.Mutex
 	violations []Violation
 	total      int

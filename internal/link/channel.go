@@ -118,17 +118,12 @@ type Channel struct {
 	nacks   sim.Pipe[NACK]
 
 	injector fault.Corruptor // nil for fault-free channels
-	// events/counters are the TRANSMITTER-side accounts, charged by Send
-	// and RecvNACKs; rxEvents/rxCounters are the RECEIVER-side accounts,
-	// charged by SendCredit and SendNACK. They default to the same
-	// objects; under the parallel kernel the two endpoints may live on
-	// different workers, so each side must charge a shard its own worker
-	// owns (see SetRxStats).
-	events     *stats.Events
-	counters   *fault.Counters
-	rxEvents   *stats.Events
-	rxCounters *fault.Counters
-	local      bool // PE<->router channel: no fault injection, separate energy class
+	// events/counters are the accounts charged by both endpoints: Send
+	// and RecvNACKs on the transmitter side, SendCredit and SendNACK on
+	// the receiver side.
+	events   *stats.Events
+	counters *fault.Counters
+	local    bool // PE<->router channel: no fault injection, separate energy class
 
 	// injScratch backs Send's fault-injection call: passing a stack
 	// flit's address through the Corruptor interface would heap-allocate
@@ -159,37 +154,15 @@ func (c *Channel) SetHandshakeFaults(rate float64, tmr bool, rng *sim.RNG) {
 // not inject faults into). events and counters must be non-nil.
 func NewChannel(k *sim.Kernel, injector fault.Corruptor, local bool, events *stats.Events, counters *fault.Counters) *Channel {
 	c := &Channel{
-		injector:   injector,
-		events:     events,
-		counters:   counters,
-		rxEvents:   events,
-		rxCounters: counters,
-		local:      local,
+		injector: injector,
+		events:   events,
+		counters: counters,
+		local:    local,
 	}
 	c.flits.Init(k, FlitLatency)
 	c.credits.Init(k, CreditLatency)
 	c.nacks.Init(k, NACKLatency)
 	return c
-}
-
-// SetRxStats redirects the receiver-side accounting (credits sent, NACKs
-// raised) to the given accounts, leaving the transmitter side on the
-// ones passed to NewChannel. Required when the two endpoints are stepped
-// by different parallel workers; harmless (and exact, since all accounts
-// are summed) under the serial kernels.
-func (c *Channel) SetRxStats(events *stats.Events, counters *fault.Counters) {
-	c.rxEvents = events
-	c.rxCounters = counters
-}
-
-// SetArmShards assigns the kernel arm-shards for the channel's three
-// wires by producer: the forward flit wire is pushed by the transmitter
-// owner (tx), the backward credit and NACK wires by the receiver owner
-// (rx). See sim.Pipe.SetArmShard.
-func (c *Channel) SetArmShards(tx, rx int) {
-	c.flits.SetArmShard(tx)
-	c.credits.SetArmShard(rx)
-	c.nacks.SetArmShard(rx)
 }
 
 // Send puts a flit on the wire, applying fault injection. It returns the
@@ -220,7 +193,7 @@ func (c *Channel) Recv() (flit.Flit, bool) { return c.flits.Pop() }
 
 // SendCredit returns a buffer slot to the transmitter.
 func (c *Channel) SendCredit(vc uint8) {
-	c.rxEvents.Credits++
+	c.events.Credits++
 	c.credits.Push(Credit{VC: vc})
 }
 
@@ -229,8 +202,8 @@ func (c *Channel) RecvCredits() []Credit { return c.credits.PopAll() }
 
 // SendNACK raises the error handshake toward the transmitter.
 func (c *Channel) SendNACK(vc uint8, kind NACKKind) {
-	c.rxEvents.NACKs++
-	c.rxCounters.NACKs++
+	c.events.NACKs++
+	c.counters.NACKs++
 	c.nacks.Push(NACK{VC: vc, Kind: kind})
 }
 
@@ -239,8 +212,7 @@ func (c *Channel) SendNACK(vc uint8, kind NACKKind) {
 // enabled, or lost otherwise.
 func (c *Channel) RecvNACKs() []NACK {
 	// The common case, no NACK visible, returns before touching the
-	// ring. Empty reads only consumer-side state, so unlike InFlight it
-	// is valid inside a parallel step.
+	// ring.
 	if c.nacks.Empty() {
 		return nil
 	}

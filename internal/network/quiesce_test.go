@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"ftnoc/internal/kernel"
 	"ftnoc/internal/link"
 	"ftnoc/internal/routing"
+	"ftnoc/internal/trace"
 )
 
 // attachChecker gives cfg a fresh runtime invariant checker (one per
@@ -78,6 +80,25 @@ func runKernel(t *testing.T, cfg Config, k kernel.Kind) (Results, uint64) {
 	return res, n.KernelStats().Skipped
 }
 
+// captureSink records every trace event in emission order, so two runs
+// can be compared event-for-event — a much stronger check than Results
+// equality alone, because it pins down the cycle stamp and the ordering
+// of every event, not just the aggregate outcome.
+type captureSink struct{ events []trace.Event }
+
+func (c *captureSink) Emit(e trace.Event) { c.events = append(c.events, e) }
+
+// runCapture executes cfg under the given scheduler with a trace capture
+// attached and returns the comparable results plus the ordered stream.
+func runCapture(t *testing.T, cfg Config, k kernel.Kind) (Results, []trace.Event) {
+	t.Helper()
+	cfg.Kernel = k
+	sink := &captureSink{}
+	cfg.TraceSink = sink
+	res := comparable(New(cfg).Run())
+	return res, sink.events
+}
+
 // diffKernels are the schedulers checked against the naive oracle: every
 // registered kind except the oracle itself. Deriving the list from
 // kernel.Kinds keeps the grids honest — a new kernel cannot be added
@@ -93,11 +114,11 @@ func diffKernels() []kernel.Kind {
 }
 
 // TestKernelDifferential is the scheduling contract made executable: for
-// every grid point, the quiescent and event kernels must produce
-// Results — counters, latencies, utilizations, and the traced packet
-// journeys — deeply equal to the naive tick-everyone oracle's. Subtests
-// are keyed by the config's canonical hash, so a failure names the exact
-// reproducible configuration.
+// every grid point, the event kernel must produce Results — counters,
+// latencies, utilizations, and the traced packet journeys — deeply equal
+// to the naive tick-everyone oracle's. Subtests are keyed by the config's
+// canonical hash, so a failure names the exact reproducible
+// configuration.
 func TestKernelDifferential(t *testing.T) {
 	algs := []routing.Algorithm{routing.XY, routing.OddEven}
 	prots := []link.Protection{link.HBH, link.E2E, link.FEC}
@@ -127,27 +148,50 @@ func TestKernelDifferential(t *testing.T) {
 							t.Errorf("%v kernel never skipped a tick on a fault-free run", k)
 						}
 					}
-					// The parallel kernel must be worker-count blind:
-					// band boundaries move with the worker count, and
-					// every placement must reproduce the oracle exactly.
-					for _, w := range []int{1, 2, 3} {
-						c := cfg
-						c.KernelWorkers = w
-						got, _ := runKernel(t, c, kernel.Parallel)
-						if !reflect.DeepEqual(want, got) {
-							t.Fatalf("parallel kernel with %d workers diverged from naive:\nnaive:    %+v\nparallel: %+v", w, want, got)
-						}
-					}
 				})
 			}
 		}
 	}
 }
 
+// TestKernelSeedReplay is the randomized differential: for random
+// operating points (mesh shape, load, link error rate, seed), the event
+// kernel must reproduce the naive oracle's Results and its whole trace
+// stream event-for-event, and a second event-kernel run with the same
+// seed must reproduce the first.
+func TestKernelSeedReplay(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(0xf17b0a7))
+	for i := 0; i < 5; i++ {
+		cfg := NewConfig()
+		cfg.Width = 3 + rng.Intn(3)
+		cfg.Height = 3 + rng.Intn(3)
+		cfg.InjectionRate = 0.1 + 0.2*rng.Float64()
+		cfg.Faults.Link = []float64{0, 1e-3, 1e-2}[rng.Intn(3)]
+		cfg.Seed = rng.Uint64() | 1
+		cfg.WarmupMessages = 50
+		cfg.TotalMessages = 500
+		cfg.MaxCycles = 300_000
+		cfg.TracePIDs = []uint64{1, 2, 3, 5, 8}
+
+		oracle, oracleEvents := runCapture(t, cfg, kernel.Naive)
+		first, firstEvents := runCapture(t, cfg, kernel.Event)
+		replay, replayEvents := runCapture(t, cfg, kernel.Event)
+		if !reflect.DeepEqual(first, replay) || !reflect.DeepEqual(firstEvents, replayEvents) {
+			t.Fatalf("point %d (%dx%d seed=%d): event replay diverged from itself",
+				i, cfg.Width, cfg.Height, cfg.Seed)
+		}
+		if !reflect.DeepEqual(oracle, first) || !reflect.DeepEqual(oracleEvents, firstEvents) {
+			t.Fatalf("point %d (%dx%d seed=%d): event kernel diverged from naive",
+				i, cfg.Width, cfg.Height, cfg.Seed)
+		}
+	}
+}
+
 // TestKernelDifferentialBurst covers the injection-limit path: once the
 // network-wide limit is reached, sleeping sources stop replaying their
-// accumulators — that divergence must stay unobservable under both
-// skipping schedulers.
+// accumulators — that divergence must stay unobservable under the
+// skipping scheduler.
 func TestKernelDifferentialBurst(t *testing.T) {
 	cfg := diffConfig(routing.XY, link.HBH, 1e-3, 11)
 	cfg.WarmupMessages = 0
@@ -166,7 +210,7 @@ func TestKernelDifferentialBurst(t *testing.T) {
 }
 
 // TestKernelDifferentialRecovery drives the deadlock-recovery and
-// hard-fault machinery (probes, activations, reroutes) under all three
+// hard-fault machinery (probes, activations, reroutes) under both
 // kernels: the protocol state machines must be cycle-identical too.
 func TestKernelDifferentialRecovery(t *testing.T) {
 	cfg := diffConfig(routing.MinimalAdaptive, link.HBH, 1e-3, 3)

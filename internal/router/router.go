@@ -161,11 +161,6 @@ func (r *Router) Tick(cycle uint64) {
 		r.catchUp(cycle - r.nextExpected)
 	}
 	r.nextExpected = cycle + 1
-	if r.cfg.EventsMirror != nil {
-		// Snapshot the pre-tick counters (catch-up included: those belong
-		// to cycles before this one) for mid-cycle measurement snapshots.
-		*r.cfg.EventsMirror = *r.cfg.Events
-	}
 	r.beginOutputs(cycle)
 	r.ingest(cycle)
 	if r.sparse {

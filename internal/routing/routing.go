@@ -82,7 +82,7 @@ func Parse(s string) (Algorithm, error) {
 	case "fault-adaptive", "faultadaptive", "fa", "updown", "up-down":
 		return FaultAdaptive, nil
 	default:
-		return 0, fmt.Errorf("unknown routing %q (want xy, adaptive, westfirst, oddeven or fault-adaptive)", s)
+		return 0, fmt.Errorf("unknown routing %q (want xy, adaptive, west-first, odd-even or fault-adaptive)", s)
 	}
 }
 

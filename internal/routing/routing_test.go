@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -198,4 +199,24 @@ func TestNewPanicsOnUnknownAlgorithm(t *testing.T) {
 		}
 	}()
 	New(Algorithm(99), mesh8())
+}
+
+// TestParseErrorSpellsCanonicalNames: the unknown-routing error lists
+// every algorithm in its String form, the spelling the CLIs print, and
+// the squashed legacy spellings still parse.
+func TestParseErrorSpellsCanonicalNames(t *testing.T) {
+	_, err := Parse("bogus")
+	if err == nil {
+		t.Fatal("Parse(bogus) succeeded")
+	}
+	for _, a := range []Algorithm{XY, MinimalAdaptive, WestFirst, OddEven, FaultAdaptive} {
+		if !strings.Contains(err.Error(), a.String()) {
+			t.Errorf("error %q does not name %q", err, a)
+		}
+	}
+	for s, want := range map[string]Algorithm{"westfirst": WestFirst, "oddeven": OddEven} {
+		if a, err := Parse(s); err != nil || a != want {
+			t.Errorf("Parse(%q) = %v, %v; want %v", s, a, err, want)
+		}
+	}
 }

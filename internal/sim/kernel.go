@@ -30,30 +30,28 @@
 //
 // # Scheduling modes
 //
-// SetMode selects among three schedulers that share the actor/latch model
+// SetMode selects between two schedulers that share the actor/latch model
 // and produce identical simulations:
 //
+//   - ModeEvent (the zero value) is a calendar-queue discrete-event
+//     scheduler: each actor carries a pending-tick cycle, due handles are
+//     drained from a 256-bucket ring (plus an overflow min-heap for
+//     far-future wakes), and cost scales with dispatched events rather
+//     than cycles x actors. Busy actors simply reschedule themselves for
+//     the next cycle, so a fully-active network degenerates gracefully to
+//     the per-cycle walk, and an actor that is not an enabled Quiescer
+//     ticks every cycle.
 //   - ModeNaive ticks every actor every cycle — the historical exhaustive
-//     schedule, kept as the differential oracle.
-//   - ModeQuiescent (the zero value) walks the actor list each cycle but
-//     skips sleeping actors.
-//   - ModeEvent is a calendar-queue discrete-event scheduler: each actor
-//     carries a pending-tick cycle, due handles are drained from a
-//     256-bucket ring (plus an overflow min-heap for far-future wakes),
-//     and cost scales with dispatched events rather than cycles x actors.
-//     Busy actors simply reschedule themselves for the next cycle, so a
-//     fully-active network degenerates gracefully to the per-cycle walk.
+//     schedule, kept as the differential oracle. It never consults
+//     Quiescer.
 //
-// Latch skipping stays on in all modes: an empty pipe's latch is the
+// Latch skipping stays on in both modes: an empty pipe's latch is the
 // identity, so eliding it is exact. Due handles are dispatched in
-// ascending registration order in every mode, keeping intra-cycle trace
-// order identical across schedulers.
+// ascending registration order, keeping intra-cycle trace order identical
+// across schedulers.
 package sim
 
-import (
-	"slices"
-	"time"
-)
+import "slices"
 
 // Actor is a component evaluated once per simulated clock cycle.
 type Actor interface {
@@ -90,53 +88,28 @@ type Quiescer interface {
 // Handle identifies a registered actor, for wake wiring.
 type Handle int
 
-// Mode selects the kernel's scheduling strategy. All modes simulate the
+// Mode selects the kernel's scheduling strategy. Both modes simulate the
 // same network identically; they differ only in which cycles an actor's
 // Tick is physically invoked on (skipped ticks are provably no-ops).
 type Mode uint8
 
 const (
-	// ModeQuiescent walks all actors each cycle, skipping sleepers. The
-	// zero value, for compatibility with kernels built before ModeEvent.
-	ModeQuiescent Mode = iota
+	// ModeEvent dispatches only due actors from a calendar queue. The
+	// zero value.
+	ModeEvent Mode = iota
 	// ModeNaive ticks every actor every cycle (differential oracle).
 	ModeNaive
-	// ModeEvent dispatches only due actors from a calendar queue.
-	ModeEvent
-	// ModeParallel partitions the actors into worker-owned groups plus a
-	// serial group (see SetParallel). Each cycle, worker goroutines step
-	// their groups concurrently (quiescent-style, with per-worker timed
-	// wake heaps), a barrier waits for all of them, then the serial group
-	// ticks in registration order and all latches advance. Cross-group
-	// pipe pushes land in staging buffers disjoint from anything the
-	// consumer reads this cycle, so the schedule is observationally
-	// identical to the synchronous loop.
-	ModeParallel
 )
 
 // Stats is the kernel's cumulative scheduling telemetry. Ticked counts
-// actor ticks executed; Skipped counts actor ticks elided (relative to
-// the naive every-actor-every-cycle schedule, in all modes, so the skip
-// ratio is comparable across schedulers); Events counts calendar-queue
-// dispatches and is zero outside ModeEvent. Workers is non-empty only
-// under ModeParallel, one entry per region worker; its Ticked/Skipped
-// are already included in the top-level totals.
+// actor ticks executed; Skipped counts actor ticks elided relative to the
+// naive every-actor-every-cycle schedule (always zero under ModeNaive, so
+// the skip ratio is comparable across schedulers); Events counts
+// calendar-queue dispatches and is zero under ModeNaive.
 type Stats struct {
 	Ticked  uint64
 	Skipped uint64
 	Events  uint64
-	Workers []WorkerStats
-}
-
-// WorkerStats is one parallel region worker's share of the scheduling
-// telemetry. BarrierWaitNs is the cumulative wall-clock time the worker
-// spent idle at the per-cycle barrier waiting for the serial phase and
-// its slower peers — the direct measure of partition imbalance and
-// serial-fraction overhead.
-type WorkerStats struct {
-	Ticked        uint64
-	Skipped       uint64
-	BarrierWaitNs uint64
 }
 
 // activeLatch is implemented by delay lines; the kernel advances armed
@@ -146,8 +119,7 @@ type activeLatch interface {
 	latch() bool
 }
 
-// wakeEntry is one scheduled timed wake in a min-heap (the quiescent
-// mode's timed-wake heap, or the event mode's far-future overflow heap).
+// wakeEntry is one far-future scheduled tick in the overflow min-heap.
 type wakeEntry struct {
 	at uint64
 	h  Handle
@@ -168,56 +140,28 @@ const (
 )
 
 // Kernel drives a set of actors and delay lines through simulated time.
-// The zero value is ready to use.
+// The zero value is ready to use and schedules with ModeEvent.
 type Kernel struct {
 	cycle  uint64
 	actors []Actor
 	// quiescers[i] is actors[i] if it implements Quiescer, else nil.
 	quiescers []Quiescer
 	asleep    []bool
-	// wakeAt[i] is the pending timed-wake cycle for a sleeping actor
-	// (0 = none); heap entries not matching it are stale and ignored.
-	// Used by ModeQuiescent only.
-	wakeAt []uint64
-	// heap holds timed wakes (ModeQuiescent, and ModeParallel's serial
-	// group) or far-future scheduled ticks (ModeEvent); the uses never
-	// coexist.
-	heap []wakeEntry
-	// shards hold the armed delay lines; pipes arm themselves on Push
-	// into their producer's shard and disarm by returning false from
-	// latch. Serial kernels use only shard 0; ModeParallel gives each
-	// worker its own shard so concurrent arms never share a slice.
-	shards [][]activeLatch
+	// armed holds the armed delay lines; pipes arm themselves on Push and
+	// disarm by returning false from latch.
+	armed []activeLatch
 
 	// Calendar queue (ModeEvent). pendingAt[i] is the cycle actor i is
 	// scheduled to tick on (noPending = none); ring buckets hold handles
-	// due within numBuckets cycles, keyed by cycle & bucketMask. Entries
-	// whose pendingAt no longer matches the drain cycle are stale —
-	// superseded by an earlier wake — and skipped, so duplicates are
-	// harmless.
+	// due within numBuckets cycles, keyed by cycle & bucketMask, and heap
+	// holds the far-future rest. Entries whose pendingAt no longer
+	// matches the drain cycle are stale — superseded by an earlier wake —
+	// and skipped, so duplicates are harmless.
 	pendingAt []uint64
 	buckets   [numBuckets][]Handle
+	heap      []wakeEntry
 	due       []Handle
 	evInit    bool
-
-	// Parallel scheduling (ModeParallel, see SetParallel). serialH holds
-	// the handles ticked by the coordinator after the barrier; workerH[w]
-	// holds worker w's handles, both in ascending registration order.
-	// wheaps[w] is worker w's private timed-wake heap; wstats[w] its
-	// telemetry, written only between the worker's start-receive and
-	// done-send so the barrier orders every access. lastTick[h] is the
-	// cycle handle h last actually ticked (noPending = never), maintained
-	// only in ModeParallel for mid-cycle observers that need to know
-	// whether an actor has already advanced past an observation point.
-	serialH  []Handle
-	workerH  [][]Handle
-	wheaps   [][]wakeEntry
-	wstats   []WorkerStats
-	lastTick []uint64
-	startCh  []chan uint64
-	doneCh   chan struct{}
-	pRunning bool
-	pStopped bool
 
 	mode    Mode
 	ticked  uint64
@@ -245,7 +189,6 @@ func (k *Kernel) RegisterActor(a Actor) Handle {
 	k.actors = append(k.actors, a)
 	k.quiescers = append(k.quiescers, nil)
 	k.asleep = append(k.asleep, false)
-	k.wakeAt = append(k.wakeAt, 0)
 	k.pendingAt = append(k.pendingAt, noPending)
 	if k.evInit {
 		k.scheduleTick(h, k.cycle+1)
@@ -267,134 +210,29 @@ func (k *Kernel) EnableQuiescence(h Handle) {
 // actors (no-op) and repeatedly.
 func (k *Kernel) Waker(h Handle) func() {
 	return func() {
-		if k.mode == ModeEvent {
-			k.asleep[h] = false
-			k.scheduleTick(h, k.cycle+1)
-			return
+		if k.mode == ModeNaive {
+			return // every actor ticks every cycle anyway
 		}
-		if k.asleep[h] {
-			k.asleep[h] = false
-			k.wakeAt[h] = 0
-		}
+		k.asleep[h] = false
+		k.scheduleTick(h, k.cycle+1)
 	}
 }
 
 // Asleep reports whether the actor is currently suspended as quiescent.
-// In ModeEvent an actor merely awaiting its next-cycle tick is not
-// asleep; only one that declared itself quiet is.
+// An actor merely awaiting its next-cycle tick is not asleep; only one
+// that declared itself quiet is.
 func (k *Kernel) Asleep(h Handle) bool { return k.asleep[h] }
 
-// SetMode selects the scheduler. Must be set before stepping. For
-// ModeParallel use SetParallel, which also supplies the partition.
+// SetMode selects the scheduler. Must be set before stepping.
 func (k *Kernel) SetMode(m Mode) { k.mode = m }
 
-// SetParallel selects ModeParallel and installs the partition: groups[h]
-// assigns registered handle h to region worker groups[h] (0..workers-1),
-// or -1 to the serial group ticked by the coordinator after the barrier.
-// Workers step their groups concurrently each cycle, so two handles may
-// share a group only if ticking them concurrently with every other
-// group is race-free (all cross-group communication through pipes, no
-// shared mutable state). Must be called after all registrations and
-// before the first Step. Worker goroutines start lazily on the first
-// Step and run until StopWorkers.
-func (k *Kernel) SetParallel(groups []int, workers int) {
-	if workers < 1 {
-		panic("sim: SetParallel needs >= 1 worker")
-	}
-	if len(groups) != len(k.actors) {
-		panic("sim: SetParallel groups must cover every registered actor")
-	}
-	k.mode = ModeParallel
-	k.serialH = k.serialH[:0]
-	k.workerH = make([][]Handle, workers)
-	for h, g := range groups {
-		switch {
-		case g < 0:
-			k.serialH = append(k.serialH, Handle(h))
-		case g < workers:
-			k.workerH[g] = append(k.workerH[g], Handle(h))
-		default:
-			panic("sim: SetParallel group out of range")
-		}
-	}
-	k.wheaps = make([][]wakeEntry, workers)
-	k.wstats = make([]WorkerStats, workers)
-	k.lastTick = make([]uint64, len(groups))
-	for h := range k.lastTick {
-		k.lastTick[h] = noPending
-	}
-	k.startCh = make([]chan uint64, workers)
-	for w := range k.startCh {
-		k.startCh[w] = make(chan uint64, 1)
-	}
-	k.doneCh = make(chan struct{}, workers)
-	// Pre-grow the arm shards so no worker ever has to extend the outer
-	// slice concurrently: shard 0 is serial, shard w+1 belongs to worker w.
-	for len(k.shards) <= workers {
-		k.shards = append(k.shards, nil)
-	}
-}
-
-// Workers returns the number of region workers (0 outside ModeParallel).
-func (k *Kernel) Workers() int { return len(k.workerH) }
-
-// LastTicked reports the cycle handle h last actually ticked, and whether
-// it has ever ticked. Maintained only under ModeParallel; callers use it
-// to decide whether an actor has already advanced past a mid-cycle
-// observation point. Call only between phases (e.g. from the serial
-// group's ticks or after Step), never concurrently with the workers.
-func (k *Kernel) LastTicked(h Handle) (uint64, bool) {
-	if k.lastTick == nil || k.lastTick[h] == noPending {
-		return 0, false
-	}
-	return k.lastTick[h], true
-}
-
-// StopWorkers shuts down the parallel region workers, if any are
-// running. Idempotent; safe outside ModeParallel. The kernel must not be
-// stepped afterwards.
-func (k *Kernel) StopWorkers() {
-	if !k.pRunning || k.pStopped {
-		k.pStopped = true
-		return
-	}
-	k.pStopped = true
-	for _, ch := range k.startCh {
-		close(ch)
-	}
-	for range k.startCh {
-		<-k.doneCh
-	}
-}
-
-// Mode returns the selected scheduler.
-func (k *Kernel) Mode() Mode { return k.mode }
-
-// Stats returns the kernel's cumulative scheduling telemetry. Under
-// ModeParallel the top-level Ticked/Skipped fold in every worker's
-// share and Workers carries the per-worker breakdown. Call only between
-// steps (the barrier makes that race-free), never from inside a tick.
+// Stats returns the kernel's cumulative scheduling telemetry.
 func (k *Kernel) Stats() Stats {
-	s := Stats{Ticked: k.ticked, Skipped: k.skipped, Events: k.events}
-	if len(k.wstats) > 0 {
-		s.Workers = append([]WorkerStats(nil), k.wstats...)
-		for _, w := range k.wstats {
-			s.Ticked += w.Ticked
-			s.Skipped += w.Skipped
-		}
-	}
-	return s
+	return Stats{Ticked: k.ticked, Skipped: k.skipped, Events: k.events}
 }
 
-// arm adds a delay line to the given arm-shard (called by Pipe.Push).
-// Serial producers use shard 0; parallel worker w's pipes use shard w+1,
-// so no two goroutines ever append to the same slice.
-func (k *Kernel) arm(l activeLatch, shard int) {
-	for len(k.shards) <= shard {
-		k.shards = append(k.shards, nil)
-	}
-	k.shards[shard] = append(k.shards[shard], l)
-}
+// arm adds a delay line to the active-latch list (called by Pipe.Push).
+func (k *Kernel) arm(l activeLatch) { k.armed = append(k.armed, l) }
 
 // heapPush schedules an entry on a min-heap ordered by at.
 func heapPush(heap *[]wakeEntry, e wakeEntry) {
@@ -465,56 +303,23 @@ func (k *Kernel) Cycle() uint64 { return k.cycle }
 
 // Step advances simulated time by one cycle.
 func (k *Kernel) Step() {
-	if k.mode == ModeEvent {
+	if k.mode == ModeNaive {
+		c := k.cycle
+		for _, a := range k.actors {
+			a.Tick(c)
+		}
+		k.ticked += uint64(len(k.actors))
+	} else {
 		k.stepEvent()
-		return
 	}
-	if k.mode == ModeParallel {
-		k.stepParallel()
-		return
-	}
-	c := k.cycle
-
-	// Fire timed wakes due this cycle. Stale heap entries (the actor was
-	// woken earlier by a delivery, or re-slept with a different deadline)
-	// are recognised by wakeAt disagreeing with the entry.
-	for len(k.heap) > 0 && k.heap[0].at <= c {
-		e := heapPop(&k.heap)
-		if k.asleep[e.h] && k.wakeAt[e.h] == e.at {
-			k.asleep[e.h] = false
-			k.wakeAt[e.h] = 0
-		}
-	}
-
-	naive := k.mode == ModeNaive
-	for i, a := range k.actors {
-		if k.asleep[i] {
-			k.skipped++
-			continue
-		}
-		a.Tick(c)
-		k.ticked++
-		if q := k.quiescers[i]; q != nil && !naive {
-			if quiet, at := q.Quiescent(c); quiet {
-				k.asleep[i] = true
-				if at > c {
-					k.wakeAt[i] = at
-					heapPush(&k.heap, wakeEntry{at: at, h: Handle(i)})
-				} else {
-					k.wakeAt[i] = 0
-				}
-			}
-		}
-	}
-
 	k.latchAndAdvance()
 }
 
-// stepEvent advances one cycle under the calendar-queue scheduler: drain
-// this cycle's ring bucket plus any due overflow-heap entries, dispatch
-// the surviving handles in registration order, and let each actor either
-// reschedule for the next cycle (busy), sleep until a delivery (quiet),
-// or sleep with a timed wake (quiet with a deadline).
+// stepEvent runs one cycle's actor phase under the calendar-queue
+// scheduler: drain this cycle's ring bucket plus any due overflow-heap
+// entries, dispatch the surviving handles in registration order, and let
+// each actor either reschedule for the next cycle (busy), sleep until a
+// delivery (quiet), or sleep with a timed wake (quiet with a deadline).
 func (k *Kernel) stepEvent() {
 	c := k.cycle
 	if !k.evInit {
@@ -538,7 +343,7 @@ func (k *Kernel) stepEvent() {
 	for len(k.heap) > 0 && k.heap[0].at <= c {
 		due = append(due, heapPop(&k.heap).h)
 	}
-	// Registration order = tick order, matching the other schedulers'
+	// Registration order = tick order, matching the naive schedule's
 	// intra-cycle trace order exactly.
 	slices.Sort(due)
 
@@ -566,126 +371,6 @@ func (k *Kernel) stepEvent() {
 	k.due = due[:0]
 	k.ticked += uint64(ticked)
 	k.skipped += uint64(len(k.actors) - ticked)
-
-	k.latchAndAdvance()
-}
-
-// stepParallel advances one cycle under the partitioned scheduler:
-// start every region worker on this cycle, wait for all of them at the
-// barrier, tick the serial group in registration order, then run the
-// latch phase. Workers only read state latched in earlier cycles and
-// write into staging buffers nothing else reads this cycle, so the
-// result is identical to ticking everything on one goroutine; the
-// barrier plus the start/done channel pairs provide the happens-before
-// edges that make the sharing visible (and -race clean).
-func (k *Kernel) stepParallel() {
-	c := k.cycle
-	if !k.pRunning {
-		if k.pStopped {
-			panic("sim: Step after StopWorkers")
-		}
-		k.pRunning = true
-		for w := range k.workerH {
-			go k.workerLoop(w)
-		}
-	}
-	for _, ch := range k.startCh {
-		ch <- c
-	}
-	for range k.startCh {
-		<-k.doneCh
-	}
-
-	// Serial phase: timed wakes then ticks for the serial group, exactly
-	// the quiescent schedule restricted to serialH. Pipe wake callbacks
-	// fired later in the latch phase also run here on the coordinator.
-	for len(k.heap) > 0 && k.heap[0].at <= c {
-		e := heapPop(&k.heap)
-		if k.asleep[e.h] && k.wakeAt[e.h] == e.at {
-			k.asleep[e.h] = false
-			k.wakeAt[e.h] = 0
-		}
-	}
-	for _, h := range k.serialH {
-		if k.asleep[h] {
-			k.skipped++
-			continue
-		}
-		k.actors[h].Tick(c)
-		k.lastTick[h] = c
-		k.ticked++
-		if q := k.quiescers[h]; q != nil {
-			if quiet, at := q.Quiescent(c); quiet {
-				k.asleep[h] = true
-				if at > c {
-					k.wakeAt[h] = at
-					heapPush(&k.heap, wakeEntry{at: at, h: h})
-				} else {
-					k.wakeAt[h] = 0
-				}
-			}
-		}
-	}
-
-	k.latchAndAdvance()
-}
-
-// workerLoop is one region worker: wait for a start signal, step the
-// region, signal done. The time between signalling done and receiving
-// the next start is the worker's barrier wait — the serial phase plus
-// straggler peers — accumulated into its WorkerStats.
-func (k *Kernel) workerLoop(w int) {
-	var waitFrom time.Time
-	for {
-		c, ok := <-k.startCh[w]
-		if !waitFrom.IsZero() {
-			k.wstats[w].BarrierWaitNs += uint64(time.Since(waitFrom))
-		}
-		if !ok {
-			k.doneCh <- struct{}{}
-			return
-		}
-		k.tickGroup(w, c)
-		k.doneCh <- struct{}{}
-		waitFrom = time.Now()
-	}
-}
-
-// tickGroup steps worker w's handles for one cycle: fire the worker's
-// due timed wakes, then walk the group in ascending registration order
-// skipping sleepers — the quiescent schedule restricted to one region.
-func (k *Kernel) tickGroup(w int, c uint64) {
-	heap := &k.wheaps[w]
-	for len(*heap) > 0 && (*heap)[0].at <= c {
-		e := heapPop(heap)
-		if k.asleep[e.h] && k.wakeAt[e.h] == e.at {
-			k.asleep[e.h] = false
-			k.wakeAt[e.h] = 0
-		}
-	}
-	var ticked, skipped uint64
-	for _, h := range k.workerH[w] {
-		if k.asleep[h] {
-			skipped++
-			continue
-		}
-		k.actors[h].Tick(c)
-		k.lastTick[h] = c
-		ticked++
-		if q := k.quiescers[h]; q != nil {
-			if quiet, at := q.Quiescent(c); quiet {
-				k.asleep[h] = true
-				if at > c {
-					k.wakeAt[h] = at
-					heapPush(heap, wakeEntry{at: at, h: h})
-				} else {
-					k.wakeAt[h] = 0
-				}
-			}
-		}
-	}
-	k.wstats[w].Ticked += ticked
-	k.wstats[w].Skipped += skipped
 }
 
 // latchAndAdvance runs the cycle's latch phase and advances the clock.
@@ -694,16 +379,14 @@ func (k *Kernel) tickGroup(w int, c uint64) {
 // pipe only rotates its own ring. Wake callbacks fired here return
 // consumers to the active set for the next cycle.
 func (k *Kernel) latchAndAdvance() {
-	for s, shard := range k.shards {
-		n := 0
-		for _, l := range shard {
-			if l.latch() {
-				shard[n] = l
-				n++
-			}
+	n := 0
+	for _, l := range k.armed {
+		if l.latch() {
+			k.armed[n] = l
+			n++
 		}
-		k.shards[s] = shard[:n]
 	}
+	k.armed = k.armed[:n]
 	k.cycle++
 }
 

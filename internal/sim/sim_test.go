@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -320,12 +321,16 @@ type sleeper struct {
 	ticks  []uint64
 	offset uint64
 	in     *Pipe[int]
+	// consumed records every popped value as (cycle, value).
+	consumed [][2]uint64
 }
 
 func (s *sleeper) Tick(c uint64) {
 	s.ticks = append(s.ticks, c)
 	if s.in != nil {
-		s.in.PopAll()
+		for _, v := range s.in.PopAll() {
+			s.consumed = append(s.consumed, [2]uint64{c, uint64(v)})
+		}
 	}
 }
 func (s *sleeper) Quiescent(c uint64) (bool, uint64) {
@@ -461,11 +466,14 @@ func (s *orderSleeper) Quiescent(c uint64) (bool, uint64) {
 	return true, next
 }
 
-// TestEventKernelMatchesQuiescent runs a randomized mix of sleepers and
-// always-on actors under both schedulers and requires identical tick
-// traces — the unit-level version of the network differential grids.
-func TestEventKernelMatchesQuiescent(t *testing.T) {
-	build := func(mode Mode) []*sleeper {
+// TestEventKernelMatchesNaive runs a randomized mix of sleepers and
+// always-on actors under both schedulers — the unit-level version of the
+// network differential grids. Every value must be consumed on the same
+// cycle under both, and the event kernel's ticks plus its skips must
+// account for exactly the naive schedule's.
+func TestEventKernelMatchesNaive(t *testing.T) {
+	const cycles = 500
+	build := func(mode Mode) ([]*sleeper, Stats) {
 		var k Kernel
 		k.SetMode(mode)
 		actors := []*sleeper{
@@ -480,25 +488,37 @@ func TestEventKernelMatchesQuiescent(t *testing.T) {
 			p.SetWake(k.Waker(h))
 			pipes[h] = p
 		}
-		for i := 0; i < 500; i++ {
-			if i%41 == 0 {
-				pipes[0].Push(i) // wake the delivery-only sleeper
+		for i := 0; i < cycles; i++ {
+			// Deliveries wake the delivery-only sleeper and cut every
+			// timed sleeper's deadline short, each on its own period.
+			for j, p := range pipes {
+				if i%(41+10*j) == 0 {
+					p.Push(i)
+				}
 			}
 			k.Step()
 		}
-		return actors
+		return actors, k.Stats()
 	}
-	want := build(ModeQuiescent)
-	got := build(ModeEvent)
+	want, wantStats := build(ModeNaive)
+	got, gotStats := build(ModeEvent)
 	for i := range want {
-		if len(want[i].ticks) != len(got[i].ticks) {
-			t.Fatalf("actor %d: quiescent ticked %d, event ticked %d", i, len(want[i].ticks), len(got[i].ticks))
+		if len(want[i].consumed) == 0 {
+			t.Fatalf("actor %d consumed nothing; the delivery path is not exercised", i)
 		}
-		for j := range want[i].ticks {
-			if want[i].ticks[j] != got[i].ticks[j] {
-				t.Fatalf("actor %d tick %d: quiescent at %d, event at %d", i, j, want[i].ticks[j], got[i].ticks[j])
-			}
+		if !slices.Equal(want[i].consumed, got[i].consumed) {
+			t.Fatalf("actor %d consumed %v under naive, %v under event", i, want[i].consumed, got[i].consumed)
 		}
+		if len(want[i].ticks) != cycles {
+			t.Fatalf("actor %d: naive ticked %d times in %d cycles", i, len(want[i].ticks), cycles)
+		}
+	}
+	total := uint64(cycles * len(want))
+	if wantStats.Ticked != total || wantStats.Skipped != 0 || wantStats.Events != 0 {
+		t.Fatalf("naive Stats = %+v, want %d ticked, none skipped, no events", wantStats, total)
+	}
+	if gotStats.Ticked+gotStats.Skipped != total || gotStats.Skipped == 0 || gotStats.Events != gotStats.Ticked {
+		t.Fatalf("event Stats = %+v, want ticked+skipped = %d with some skipped", gotStats, total)
 	}
 }
 

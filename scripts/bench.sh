@@ -2,7 +2,7 @@
 # bench.sh — kernel performance harness.
 #
 # Full mode (default) times the Fig 5/6 quick workloads under every
-# scheduler (naive, quiescent, event, parallel), runs the kernel
+# scheduler (naive and event), runs the kernel
 # microbenchmarks, and writes BENCH_kernel.json at the repo root — each
 # kernel's entry records speedup_vs_naive. Pass a git ref to also build
 # that revision's nocsim and record the speedup against it:
@@ -13,9 +13,9 @@
 #
 # Smoke mode is the CI guard: it runs every kernel benchmark once (so
 # they cannot bit-rot) and fails the build if the steady-state
-# benchmark of any scheduler — event (BenchmarkKernelSteady), naive,
-# quiescent, parallel, or the metrics-on variant — reports any
-# allocations per simulated cycle:
+# benchmark of either scheduler — event (BenchmarkKernelSteady), naive,
+# or the metrics-on variant — reports any allocations per simulated
+# cycle:
 #
 #   scripts/bench.sh --smoke
 set -euo pipefail
@@ -27,14 +27,12 @@ if [[ "${1:-}" == "--smoke" ]]; then
 
     # Allocation guard. 200 measured cycles after each benchmark's own
     # 2000-cycle warm-up is enough for any per-cycle allocation to show
-    # up as allocs/op >= 1 (Go reports the floor of the mean). All four
-    # kernels are guarded — the calendar queue, the quiescence scan, the
-    # naive loop and the parallel barrier step must each stay
-    # allocation-free at steady state. The Metrics variant guards the
-    # zero-cost-when-unscraped observability contract: gauges
+    # up as allocs/op >= 1 (Go reports the floor of the mean). Both
+    # kernels are guarded — the calendar queue and the naive loop must
+    # each stay allocation-free at steady state. The Metrics variant
+    # guards the zero-cost-when-unscraped observability contract: gauges
     # registered, sampling interval never firing.
     for bench in BenchmarkKernelSteady BenchmarkKernelSteadyNaive \
-                 BenchmarkKernelSteadyQuiescent BenchmarkKernelSteadyParallel \
                  BenchmarkKernelSteadyMetrics; do
         line=$(go test ./internal/network -run '^$' -bench "${bench}\$" \
             -benchtime=200x -benchmem | grep "^${bench}")
